@@ -260,17 +260,22 @@ def _figure(args) -> int:
 
 
 def _simulate(args) -> int:
+    from repro.errors import SimulationError
     from repro.gpu.simulator import simulate
 
     case = by_name(args.stencil)
     plat = platform(args.arch, args.model)
-    res = simulate(
-        case.build(),
-        args.variant,
-        plat,
-        domain=tuple(args.domain),
-        stencil_name=case.name,
-    )
+    try:
+        res = simulate(
+            case.build(),
+            args.variant,
+            plat,
+            domain=tuple(args.domain),
+            stencil_name=case.name,
+        )
+    except SimulationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     print(collect_profile(res).row())
     t = res.timing
     print(

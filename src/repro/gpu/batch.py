@@ -7,22 +7,27 @@ x tile x domain) matrix without running a Python loop of scalar
 1. **group resolution** — points sharing a (stencil signature, tile,
    vector length, strategy, platform, variant) share exactly one
    codegen + cost-model evaluation (the scalar hot path's dominant
-   cost); the domain axis — the axis a 100k-point sweep actually
-   multiplies — adds *no* groups, so its marginal cost is pure array
-   math;
-2. **vectorised evaluation** — the traffic and timing formulas of
-   :mod:`repro.gpu.traffic` / :mod:`repro.gpu.timing` run as NumPy
-   ``int64``/``float64`` struct-of-arrays ops, replicating the scalar
-   evaluation order *operation for operation*.  Integer quantities stay
-   ``int64`` (exact), float expressions use the same association order
-   as the scalar source, and every per-group scalar with more than one
-   factor (bandwidth denominators, occupancy's ``** 0.5``) is computed
-   once per group in plain Python — so every result float is
-   bit-identical to the scalar path;
-3. **assembly** — results materialise as the same frozen dataclasses
-   the scalar path returns; ``ndarray.tolist()`` hands back native
-   Python ``int``/``float`` objects, so even the *types* of every field
-   match the oracle.
+   cost) and one pair of per-configuration constants
+   (:func:`~repro.gpu.traffic.traffic_config`,
+   :func:`~repro.gpu.timing.timing_config`); the domain axis — the axis
+   a 100k-point sweep actually multiplies — adds *no* groups, so its
+   marginal cost is pure array math;
+2. **vectorised evaluation** — each point's domain and its group's
+   constants are gathered into NumPy ``int64``/``float64`` columns and
+   handed to :func:`~repro.gpu.traffic.traffic_terms` and
+   :func:`~repro.gpu.timing.timing_terms`, the very functions the
+   scalar path calls on Python numbers.  Both engines run one formula:
+   it has no branches, integer quantities stay integers (exact in
+   ``int64``, and below 2**53, so they convert to float exactly on both
+   paths), and every float operation is the same IEEE operation on
+   the same operands in the same order whether its operands are Python
+   floats or array elements — so every result float is bit-identical to
+   the scalar path by construction;
+3. **assembly** — columns split back into rows with
+   ``ndarray.tolist()``, which hands back native Python ``int``/``float``
+   objects, so even the *types* of every field match the oracle; each
+   row goes through :func:`~repro.gpu.simulator.assemble`, the scalar
+   path's own result + invariant-check step.
 
 The scalar path stays the bit-checked oracle: the equivalence suite
 (``tests/test_batch_equivalence.py``) asserts field-by-field equality
@@ -49,7 +54,8 @@ counters of the points a scalar loop would have completed first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, fields
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -57,26 +63,22 @@ import numpy as np
 from repro.bricks.layout import BrickDims
 from repro.codegen.cost import ProgramCost, cost_of
 from repro.codegen.generator import CodegenOptions, generate
-from repro.dsl.analysis import FP64_BYTES, total_flops
+from repro.dsl.analysis import total_flops
 from repro.dsl.stencil import Stencil
-from repro.errors import SimulationError
-from repro.gpu.progmodel import VARIANTS, Platform
-from repro.gpu.simulator import (
-    VARIANT_CONFIG,
-    SimulationResult,
-    _validate_enabled,
-    tile_for,
+from repro.errors import ValidationError
+from repro.gpu.progmodel import Platform
+from repro.gpu.simulator import assemble, resolve, _validate_enabled
+from repro.gpu.timing import TimingBreakdown, TimingConfig, timing_config, timing_terms
+from repro.gpu.traffic import (
+    Traffic,
+    TrafficConfig,
+    check_domain,
+    traffic_config,
+    traffic_terms,
 )
-from repro.gpu.timing import (
-    TILE_OVERHEAD_INSTRS,
-    TimingBreakdown,
-    occupancy_factor,
-    shuffle_cycles_for,
-)
-from repro.gpu.traffic import Traffic, sector_footprint
 from repro.obs import counter, gauge, span
 from repro.resilience.policy import TaskFailure
-from repro.util import ceil_div, dims_to_shape, prod
+from repro.util import ceil_div, dims_to_shape
 
 __all__ = ["DEFAULT_CHUNK", "BatchPoint", "simulate_batch"]
 
@@ -116,12 +118,7 @@ def _stencil_signature(stencil: Stencil) -> Tuple:
 
 @dataclass
 class _Group:
-    """Everything constant across one (codegen x platform x variant) group.
-
-    Per-group scalars are computed in plain Python with exactly the
-    factor grouping of the scalar formulas, so the vectorised pass only
-    ever multiplies/divides a per-point array by one finished scalar.
-    """
+    """Everything constant across one (codegen x platform x variant) group."""
 
     index: int
     stencil: Stencil
@@ -130,27 +127,8 @@ class _Group:
     strategy: str
     ops: int  # len(program.ops), for the codegen.vector_ops counter
     tile_shape: Tuple[int, int, int]
-    tile_pts: int
-    tile_k: int
-    radius: int
-    shared_planes: int
-    llc_eff: float
-    read_amp: float
-    write_amp: float
-    sec_load: int
-    sec_store: int
-    sector: int
-    hbm_bw: float
-    l1_den: float
-    flops_pt: int
-    fp_den: float
-    shuffles: int
-    shuf_cyc: float
-    shuf_den: float
-    instr_pt: int
-    issue_den: float
-    occ: float
-    launch: float
+    traffic: TrafficConfig
+    timing: TimingConfig
 
 
 class _GroupTable:
@@ -192,47 +170,14 @@ class _GroupTable:
         return group
 
     def _resolve_slow(self, point: BatchPoint) -> _Group:
-        if point.variant not in VARIANTS:
-            raise SimulationError(
-                f"unknown variant '{point.variant}'; known: {VARIANTS}"
-            )
-        layout, strategy = VARIANT_CONFIG[point.variant]
-        platform = point.platform
-        dims = point.dims or tile_for(platform)
-        simd = platform.arch.simd_width
-        # Custom tiles narrower than the SIMD width fall back to one
-        # vector per row (same rule as the scalar path).
-        vl = point.vector_length or (
-            simd if dims.dims[0] % simd == 0 else dims.dims[0]
+        stencil, platform, variant = point.stencil, point.platform, point.variant
+        layout, strategy, dims, vl = resolve(
+            variant, platform, point.dims, point.vector_length
         )
-        key = (
-            _stencil_signature(point.stencil),
-            dims.dims,
-            vl,
-            strategy,
-            id(platform),
-            point.variant,
-        )
+        key = (_stencil_signature(stencil), dims.dims, vl, strategy, id(platform), variant)
         group = self._by_key.get(key)
-        if group is None:
-            group = self._build(
-                point.stencil, layout, strategy, dims, vl, platform,
-                point.variant,
-            )
-            self._by_key[key] = group
-            self.groups.append(group)
-        return group
-
-    def _build(
-        self,
-        stencil: Stencil,
-        layout: str,
-        strategy: str,
-        dims: BrickDims,
-        vl: int,
-        platform: Platform,
-        variant: str,
-    ) -> _Group:
+        if group is not None:
+            return group
         program = generate(stencil, dims, CodegenOptions(vl, strategy))
         cost = self._cost_by_program.get(id(program))
         if cost is None:
@@ -240,119 +185,80 @@ class _GroupTable:
             self._cost_by_program[id(program)] = cost
         arch, profile = platform.arch, platform.profile
         vp = profile.variant(variant)
-        r = stencil.radius
-        tile_shape = dims.shape
-        occ = occupancy_factor(cost.registers, profile.reg_budget)
-        pa, pu, ph, ps = sector_footprint(vp, r, cost.vl, arch.sector_bytes)
-        mem_instr = cost.loads_total + cost.stores
-        if vp.scalarized:
-            mem_instr *= cost.vl * vp.scalarized_slots
-        return _Group(
+        group = _Group(
             index=len(self.groups),
             stencil=stencil,
             platform=platform,
             cost=cost,
             strategy=program.strategy,
             ops=len(program.ops),
-            tile_shape=tile_shape,
-            tile_pts=prod(tile_shape),
-            tile_k=tile_shape[0],
-            radius=r,
-            shared_planes=2 * r if layout == "array" else r,
-            llc_eff=arch.llc_bytes * profile.llc_utilization,
-            read_amp=vp.read_amp,
-            write_amp=vp.write_amp,
-            sec_load=(
-                cost.loads_aligned * pa
-                + cost.loads_unaligned * pu
-                + cost.loads_halo * ph
-            ),
-            sec_store=cost.stores * ps,
-            sector=arch.sector_bytes,
-            hbm_bw=arch.hbm_bw * profile.mixbench_bw_frac * vp.bw_frac * occ,
-            l1_den=arch.l1_bw * vp.l1_frac * occ,
-            flops_pt=cost.flops,
-            fp_den=arch.peak_fp64 * profile.mixbench_fp_frac * vp.fp_eff,
-            shuffles=cost.shuffles,
-            shuf_cyc=shuffle_cycles_for(arch.vendor),
-            shuf_den=arch.num_cus * arch.clock_ghz * 1e9,
-            instr_pt=mem_instr + TILE_OVERHEAD_INSTRS,
-            issue_den=arch.issue_rate * vp.issue_eff * occ,
-            occ=occ,
-            launch=profile.launch_overhead_s,
+            tile_shape=dims.shape,
+            traffic=traffic_config(stencil, layout, cost, arch, profile, vp, dims.shape),
+            timing=timing_config(arch, profile, vp, cost),
         )
+        self._by_key[key] = group
+        self.groups.append(group)
+        return group
+
+
+class _Columns:
+    """Per-point columns gathered from per-group configs, and back to rows."""
+
+    def __init__(self, gidx: np.ndarray) -> None:
+        self.gidx = gidx
+        # id(column) -> (weak ref to the column, per-group values).  The
+        # weak ref lets the formula free a column it is done with, and
+        # tells a live column from a later array that reuses its id.
+        self._sources: Dict[int, Tuple[weakref.ref, list]] = {}
+
+    def gather(self, configs: List[Any]) -> Any:
+        """A config whose fields are the per-point columns of ``configs[gidx]``."""
+        cls = type(configs[0])
+        columns = []
+        for f in fields(cls):
+            values = [getattr(c, f.name) for c in configs]
+            column = np.array(values)[self.gidx]
+            self._sources[id(column)] = (weakref.ref(column), values)
+            columns.append(column)
+        return cls(*columns)
+
+    def rows(self, columns: Any) -> List[Any]:
+        """Split a dataclass of per-point columns into per-point instances.
+
+        A field passed through unchanged from a gathered config
+        (occupancy, launch overhead) keeps the config's float objects, as
+        the scalar path does, rather than one new float per point.  A
+        field that is a single number (a helper patched to a constant, as
+        in the mutation tests) stands for every point.
+        """
+        cls = type(columns)
+        lists = []
+        for f in fields(cls):
+            column = getattr(columns, f.name)
+            source = self._sources.get(id(column))
+            if source is not None and source[0]() is column:
+                column = np.array(source[1], dtype=object)[self.gidx]
+            lists.append(np.broadcast_to(column, len(self.gidx)).tolist())
+        return [cls(*row) for row in zip(*lists)]
 
 
 def _evaluate(
-    chunk: Sequence[BatchPoint],
-    groups: List[Optional[_Group]],
-    ok: List[int],
+    domains: List[Tuple[int, int, int]],
+    ntiles: List[int],
+    groups: List[_Group],
     table: _GroupTable,
-) -> Dict[str, list]:
-    """Vectorised traffic + timing over the resolvable chunk points.
-
-    Every expression below replicates the association order of
-    ``traffic._estimate`` / ``timing.kernel_time`` exactly; see the
-    module docstring for why that makes the floats bit-identical.
-    """
-    i64, f64 = np.int64, np.float64
-    gidx = np.array([groups[i].index for i in ok], dtype=i64)  # type: ignore[union-attr]
-    all_groups = table.groups
-
-    def take(field: str, dtype: type = i64) -> np.ndarray:
-        return np.array(
-            [getattr(g, field) for g in all_groups], dtype=dtype
-        )[gidx]
-
-    dom = np.array([chunk[i].domain for i in ok], dtype=i64)
-    ni, nj, nk = dom[:, 0], dom[:, 1], dom[:, 2]
-    n = ni * nj * nk
-    r = take("radius")
-    ntiles = n // take("tile_pts")
-
-    # ---- HBM (traffic._estimate order) --------------------------------
-    write = (n * FP64_BYTES) * take("write_amp", f64)
-    compulsory = (ni + 2 * r) * (nj + 2 * r) * (nk + 2 * r) * FP64_BYTES
-    shared = take("shared_planes")
-    working_set = ni * nj * shared * FP64_BYTES
-    llc = take("llc_eff", f64)
-    miss_fraction = (working_set - llc) / working_set
-    extra = np.where(
-        working_set <= llc,
-        0.0,
-        miss_fraction * (shared / take("tile_k")) * n * FP64_BYTES,
+) -> Tuple[List[Traffic], List[TimingBreakdown]]:
+    """Traffic and timing of the resolvable chunk points, one formula call
+    each over gathered columns (see the module docstring for why that
+    makes the floats bit-identical to the scalar path)."""
+    cols = _Columns(np.array([g.index for g in groups]))
+    ni, nj, nk = np.array(domains, dtype=np.int64).T
+    tiles = np.array(ntiles, dtype=np.int64)
+    traffic = traffic_terms(
+        cols.gather([g.traffic for g in table.groups]), ni, nj, nk, tiles
     )
-    read = (compulsory + extra) * take("read_amp", f64)
-
-    # ---- L1 ------------------------------------------------------------
-    load_sectors = ntiles * take("sec_load")
-    store_sectors = ntiles * take("sec_store")
-    l1_bytes = (load_sectors + store_sectors) * take("sector")
-
-    # ---- timing (timing.kernel_time order) -----------------------------
-    hbm_total = read + write
-    t_hbm = hbm_total / take("hbm_bw", f64)
-    t_l1 = l1_bytes / take("l1_den", f64)
-    t_fp = (take("flops_pt") * ntiles) / take("fp_den", f64)
-    t_shuffle = (
-        take("shuffles") * ntiles * take("shuf_cyc", f64)
-    ) / take("shuf_den", f64)
-    t_issue = (ntiles * take("instr_pt")) / take("issue_den", f64)
-
-    return {
-        "read": read.tolist(),
-        "write": write.tolist(),
-        "extra": extra.tolist(),
-        "load_sectors": load_sectors.tolist(),
-        "store_sectors": store_sectors.tolist(),
-        "l1_bytes": l1_bytes.tolist(),
-        "t_hbm": t_hbm.tolist(),
-        "t_l1": t_l1.tolist(),
-        "t_fp": t_fp.tolist(),
-        "t_shuffle": t_shuffle.tolist(),
-        "t_issue": t_issue.tolist(),
-        "ntiles": ntiles.tolist(),
-    }
+    timing = timing_terms(cols.gather([g.timing for g in table.groups]), traffic, tiles)
+    return cols.rows(traffic), cols.rows(timing)
 
 
 def _failure(exc: Exception) -> TaskFailure:
@@ -375,100 +281,60 @@ def _run_chunk(
     """One chunk: resolve, vectorise, assemble, validate, count."""
     n = len(chunk)
     groups: List[Optional[_Group]] = [None] * n
+    ntiles: List[int] = [0] * n
     errors: List[Optional[Exception]] = [None] * n
     for i, point in enumerate(chunk):
         try:
             group = table.resolve(point)
-            domain_np = dims_to_shape(point.domain)
-            if any(d % b != 0 for d, b in zip(domain_np, group.tile_shape)):
-                raise SimulationError(
-                    f"domain {domain_np} is not a multiple of tile "
-                    f"{group.tile_shape}"
-                )
+            ntiles[i] = check_domain(dims_to_shape(point.domain), group.tile_shape)
             groups[i] = group
         except Exception as exc:
             errors[i] = exc
 
     ok = [i for i in range(n) if errors[i] is None]
-    cols = _evaluate(chunk, groups, ok, table) if ok else {}
-    pos = {i: j for j, i in enumerate(ok)}
-
-    if validate:
-        # Imported lazily: repro.validate reaches back into the harness
-        # for its probes, so a module-level import cycles (same rule as
-        # the scalar path).
-        from repro.errors import ValidationError
-        from repro.validate import check_result, render_violations
+    traffics, timings = _evaluate(
+        [chunk[i].domain for i in ok],
+        [ntiles[i] for i in ok],
+        [groups[i] for i in ok],
+        table,
+    ) if ok else ([], [])
+    rows = zip(traffics, timings)
 
     out: List[Any] = []
-    calls = tiles = vector_ops = violation_count = 0
+    calls = tiles = vector_ops = 0
 
     def flush() -> None:
         if calls:
             counter("simulate.calls").inc(calls)
             counter("simulate.tiles").inc(tiles)
             counter("codegen.vector_ops").inc(vector_ops)
-        if violation_count:
-            counter("simulate.invariant_violations").inc(violation_count)
 
     for i, point in enumerate(chunk):
         error = errors[i]
         if error is None:
-            j = pos[i]
             group = groups[i]
             assert group is not None
-            name = point.stencil_name or point.stencil.description()
+            traffic, timing = next(rows)
             flops_key = (id(group.stencil), point.domain)
             flops = flops_memo.get(flops_key)
             if flops is None:
                 flops = total_flops(group.stencil, point.domain)
                 flops_memo[flops_key] = flops
-            result = SimulationResult(
-                platform=group.platform,
-                variant=point.variant,
-                stencil_name=name,
-                domain=point.domain,
-                flops=flops,
-                traffic=Traffic(
-                    hbm_read_bytes=cols["read"][j],
-                    hbm_write_bytes=cols["write"][j],
-                    l1_bytes=cols["l1_bytes"][j],
-                    load_sectors=cols["load_sectors"][j],
-                    store_sectors=cols["store_sectors"][j],
-                    reuse_miss_bytes=cols["extra"][j],
-                ),
-                timing=TimingBreakdown(
-                    t_hbm=cols["t_hbm"][j],
-                    t_l1=cols["t_l1"][j],
-                    t_fp=cols["t_fp"][j],
-                    t_shuffle=cols["t_shuffle"][j],
-                    t_issue=cols["t_issue"][j],
-                    launch_overhead=group.launch,
-                    occupancy=group.occ,
-                ),
-                cost=group.cost,
-                strategy=group.strategy,
-            )
             # The scalar path bumps these before its invariant check, so
             # a violating point still counts a simulate() call.
             calls += 1
-            tiles += cols["ntiles"][j]
+            tiles += ntiles[i]
             vector_ops += group.ops
-            if validate:
-                violations = check_result(result)
-                if violations:
-                    violation_count += len(violations)
-                    error = ValidationError(
-                        f"{len(violations)} invariant violation(s) for "
-                        f"{name}/{group.platform.name}/{point.variant}:\n"
-                        + render_violations(violations)
-                    )
-                else:
-                    out.append(result)
-                    continue
-            else:
-                out.append(result)
+            try:
+                out.append(assemble(
+                    group.platform, point.variant,
+                    point.stencil_name or point.stencil.description(),
+                    point.domain, flops, traffic, timing, group.cost,
+                    group.strategy, validate,
+                ))
                 continue
+            except ValidationError as exc:
+                error = exc
         if capture:
             out.append(_failure(error))
             continue

@@ -3,12 +3,19 @@
 ``simulate`` wires the whole stack together for a single (stencil,
 variant, platform) point of the paper's evaluation matrix:
 
-1. pick the architecture's brick/tile shape (``4 x 4 x SIMD_width``) and
-   vector length (paper Section 4.4);
+1. resolve the variant's layout and codegen strategy and the
+   architecture's brick/tile shape (``4 x 4 x SIMD_width``) and vector
+   length (paper Section 4.4);
 2. run the vector code generator (naive for the plain ``array`` variant,
    auto gather/scatter for the codegen variants);
-3. cost the generated program and feed it to the traffic model;
-4. evaluate the bottleneck timing model.
+3. cost the generated program, check the domain against the tile and
+   feed both to the traffic model;
+4. evaluate the bottleneck timing model;
+5. assemble the result and, when asked, assert its invariants.
+
+The batch engine (:mod:`repro.gpu.batch`) shares every step: it calls
+:func:`resolve`, the same traffic and timing formulas (on columns) and
+:func:`assemble`.
 
 The result carries everything the paper's figures need: normalised
 FLOPs, HBM and L1 bytes, runtime, and the diagnostic breakdowns.
@@ -25,12 +32,12 @@ from repro.codegen.cost import ProgramCost, cost_of
 from repro.codegen.generator import CodegenOptions, generate
 from repro.dsl.analysis import total_flops
 from repro.dsl.stencil import Stencil
-from repro.errors import SimulationError
+from repro.errors import SimulationError, ValidationError
 from repro.gpu.progmodel import VARIANTS, Platform
-from repro.obs import counter, span
 from repro.gpu.timing import TimingBreakdown, kernel_time
-from repro.gpu.traffic import Traffic, estimate_traffic
-from repro.util import dims_to_shape, prod
+from repro.gpu.traffic import Traffic, check_domain, estimate_traffic
+from repro.obs import counter, span
+from repro.util import dims_to_shape
 
 #: Variant -> (data layout, codegen strategy).
 VARIANT_CONFIG = {
@@ -101,6 +108,55 @@ def tile_for(platform: Platform) -> BrickDims:
     return BrickDims((platform.arch.simd_width, 4, 4))
 
 
+def resolve(
+    variant: str,
+    platform: Platform,
+    dims: BrickDims | None = None,
+    vector_length: int | None = None,
+) -> Tuple[str, str, BrickDims, int]:
+    """A point's ``(layout, strategy, tile, vector length)``.
+
+    ``dims`` / ``vector_length`` default to the architecture's; custom
+    tiles narrower than the SIMD width fall back to one vector per row.
+    The domain half of the check is :func:`~repro.gpu.traffic.check_domain`.
+    """
+    if variant not in VARIANTS:
+        raise SimulationError(f"unknown variant '{variant}'; known: {VARIANTS}")
+    layout, strategy = VARIANT_CONFIG[variant]
+    dims = dims or tile_for(platform)
+    simd = platform.arch.simd_width
+    vl = vector_length or (simd if dims.dims[0] % simd == 0 else dims.dims[0])
+    return layout, strategy, dims, vl
+
+
+def assemble(
+    platform: Platform, variant: str, stencil_name: str,
+    domain: Tuple[int, int, int], flops: int, traffic: Traffic,
+    timing: TimingBreakdown, cost: ProgramCost, strategy: str, validate: bool,
+) -> SimulationResult:
+    """The result of one point, its invariants asserted when ``validate``.
+
+    Violations are counted and raise :class:`~repro.errors.ValidationError`.
+    """
+    result = SimulationResult(
+        platform, variant, stencil_name, domain, flops, traffic, timing, cost, strategy
+    )
+    if validate:
+        # Imported lazily: repro.validate reaches back into the harness
+        # for its probes, so a module-level import cycles.
+        from repro.validate import check_result, render_violations
+
+        violations = check_result(result)
+        if violations:
+            counter("simulate.invariant_violations").inc(len(violations))
+            raise ValidationError(
+                f"{len(violations)} invariant violation(s) for "
+                f"{stencil_name}/{platform.name}/{variant}:\n"
+                + render_violations(violations)
+            )
+    return result
+
+
 def simulate(
     stencil: Stencil,
     variant: str,
@@ -114,8 +170,8 @@ def simulate(
     """Simulate one kernel sweep and return its profile.
 
     ``domain`` is in dimension order ``(ni, nj, nk)`` and must be a
-    multiple of the tile shape.  ``dims`` / ``vector_length`` override
-    the architecture defaults (used by the brick-size ablation).
+    positive multiple of the tile shape.  ``dims`` / ``vector_length``
+    override the architecture defaults (used by the brick-size ablation).
 
     ``check_invariants`` opts into asserting every physical-sanity
     invariant of :mod:`repro.validate` against the result before it is
@@ -124,9 +180,7 @@ def simulate(
     ``REPRO_VALIDATE`` environment variable, which the chaos and bench
     gates export.
     """
-    if variant not in VARIANTS:
-        raise SimulationError(f"unknown variant '{variant}'; known: {VARIANTS}")
-    layout, strategy = VARIANT_CONFIG[variant]
+    layout, strategy, dims, vl = resolve(variant, platform, dims, vector_length)
     name = stencil_name or stencil.description()
     with span(
         "simulate",
@@ -135,24 +189,18 @@ def simulate(
         platform=platform.name,
         domain=f"{domain[0]}x{domain[1]}x{domain[2]}",
     ):
-        dims = dims or tile_for(platform)
-        simd = platform.arch.simd_width
-        # Custom tiles narrower than the SIMD width fall back to one
-        # vector per row.
-        vl = vector_length or (simd if dims.dims[0] % simd == 0 else dims.dims[0])
         with span("codegen", strategy=strategy, vl=vl):
             program = generate(stencil, dims, CodegenOptions(vl, strategy))
         with span("cost"):
             cost = cost_of(program)
         vp = platform.profile.variant(variant)
-        tile_shape = dims.shape
         domain_np = dims_to_shape(domain)
+        ntiles = check_domain(domain_np, dims.shape)
         with span("traffic", layout=layout):
             traffic = estimate_traffic(
                 stencil, layout, cost, domain_np, platform.arch,
-                platform.profile, vp, tile_shape,
+                platform.profile, vp, dims.shape,
             )
-        ntiles = prod(domain_np) // prod(tile_shape)
         with span("timing", ntiles=ntiles):
             timing = kernel_time(
                 platform.arch, platform.profile, vp, traffic, cost, ntiles
@@ -160,29 +208,8 @@ def simulate(
         counter("simulate.calls").inc()
         counter("simulate.tiles").inc(ntiles)
         counter("codegen.vector_ops").inc(len(program.ops))
-        result = SimulationResult(
-            platform=platform,
-            variant=variant,
-            stencil_name=name,
-            domain=domain,
-            flops=total_flops(stencil, domain),
-            traffic=traffic,
-            timing=timing,
-            cost=cost,
-            strategy=program.strategy,
+        return assemble(
+            platform, variant, name, domain, total_flops(stencil, domain),
+            traffic, timing, cost, program.strategy,
+            _validate_enabled(check_invariants),
         )
-        if _validate_enabled(check_invariants):
-            # Imported lazily: repro.validate reaches back into the
-            # harness for its probes, so a module-level import cycles.
-            from repro.errors import ValidationError
-            from repro.validate import check_result, render_violations
-
-            violations = check_result(result)
-            if violations:
-                counter("simulate.invariant_violations").inc(len(violations))
-                raise ValidationError(
-                    f"{len(violations)} invariant violation(s) for "
-                    f"{name}/{platform.name}/{variant}:\n"
-                    + render_violations(violations)
-                )
-        return result

@@ -21,6 +21,9 @@ serial components and a launch overhead:
 FP adds/FMAs are *not* in the issue term: they live on the FP64 pipe,
 modelled by ``t_fp``.  All inputs come from the traffic model and the
 vector-IR cost model, scaled by the platform profile's efficiencies.
+As in :mod:`repro.gpu.traffic`, :func:`timing_config` folds one
+configuration's constants and :func:`timing_terms` is the per-point
+formula shared by :func:`kernel_time` and the batch engine.
 
 Register pressure enters as an occupancy factor: once the generated
 kernel's peak live registers exceed the profile's budget, fewer threads
@@ -32,6 +35,7 @@ occupancy cliffs of real hardware).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
 from repro.codegen.cost import ProgramCost
 from repro.errors import SimulationError
@@ -118,6 +122,76 @@ class TimingBreakdown:
         return max(terms, key=terms.get)
 
 
+@dataclass(frozen=True)
+class TimingConfig:
+    """The per-configuration constants of the timing formula: per-tile
+    work and the rate each resource retires it at.
+
+    Fields hold Python numbers for one configuration, or NumPy columns
+    when the batch engine gathers them per point.
+    """
+
+    occupancy: float
+    #: HBM stream: empirical ceiling x variant efficiency x occupancy.
+    hbm_bw: float
+    l1_bw: float
+    flops_per_tile: int
+    fp_rate: float
+    shuffles_per_tile: int
+    shuffle_cycles: float
+    cycle_rate: float
+    #: Memory instructions (loads + stores) plus the per-tile overhead.
+    instrs_per_tile: int
+    issue_rate: float
+    launch_overhead: float
+
+
+def timing_config(
+    arch: GPUArchitecture,
+    profile: ModelProfile,
+    vp: VariantProfile,
+    cost: ProgramCost,
+) -> TimingConfig:
+    """Fold one configuration's constants."""
+    occ = occupancy_factor(cost.registers, profile.reg_budget)
+    mem_instr = cost.loads_total + cost.stores
+    if vp.scalarized:
+        mem_instr *= cost.vl * vp.scalarized_slots
+    return TimingConfig(
+        occupancy=occ,
+        hbm_bw=arch.hbm_bw * profile.mixbench_bw_frac * vp.bw_frac * occ,
+        l1_bw=arch.l1_bw * vp.l1_frac * occ,
+        flops_per_tile=cost.flops,
+        fp_rate=arch.peak_fp64 * profile.mixbench_fp_frac * vp.fp_eff,
+        shuffles_per_tile=cost.shuffles,
+        shuffle_cycles=shuffle_cycles_for(arch.vendor),
+        cycle_rate=arch.num_cus * arch.clock_ghz * 1e9,
+        instrs_per_tile=mem_instr + TILE_OVERHEAD_INSTRS,
+        issue_rate=arch.issue_rate * vp.issue_eff * occ,
+        launch_overhead=profile.launch_overhead_s,
+    )
+
+
+def timing_terms(c: TimingConfig, traffic: Traffic, ntiles: Any) -> TimingBreakdown:
+    """The per-point timing formula; fields are columns when the inputs are.
+
+    FP64: grouped codegen executes ~points+groups FLOPs per point;
+    scatter executes 2*points (per-tap FMAs).  Either way the surplus
+    over the paper's normalised minimum is what pulls high-AI stencils
+    below the Roofline (Table 3's 125pt row).  The shuffle/exchange
+    latency is exposed, serial with the data streams.
+    """
+    return TimingBreakdown(
+        t_hbm=traffic.hbm_total_bytes / c.hbm_bw,
+        t_l1=traffic.l1_bytes / c.l1_bw,
+        t_fp=c.flops_per_tile * ntiles / c.fp_rate,
+        t_shuffle=c.shuffles_per_tile * ntiles * c.shuffle_cycles / c.cycle_rate,
+        t_issue=ntiles * c.instrs_per_tile / c.issue_rate,
+        launch_overhead=c.launch_overhead,
+        occupancy=c.occupancy,
+    )
+
+
 def kernel_time(
     arch: GPUArchitecture,
     profile: ModelProfile,
@@ -127,41 +201,4 @@ def kernel_time(
     ntiles: int,
 ) -> TimingBreakdown:
     """Estimate one sweep's runtime from traffic + static op counts."""
-    occ = occupancy_factor(cost.registers, profile.reg_budget)
-
-    # HBM stream: empirical ceiling x variant efficiency x occupancy.
-    hbm_bw = arch.hbm_bw * profile.mixbench_bw_frac * vp.bw_frac * occ
-    t_hbm = traffic.hbm_total_bytes / hbm_bw
-
-    # L1 stream.
-    t_l1 = traffic.l1_bytes / (arch.l1_bw * vp.l1_frac * occ)
-
-    # FP64 stream: grouped codegen executes ~points+groups FLOPs per
-    # point; scatter executes 2*points (per-tap FMAs).  Either way the
-    # surplus over the paper's normalised minimum is what pulls high-AI
-    # stencils below the Roofline (Table 3's 125pt row).
-    flops_exec = cost.flops * ntiles
-    t_fp = flops_exec / (arch.peak_fp64 * profile.mixbench_fp_frac * vp.fp_eff)
-
-    # Exposed shuffle/exchange latency (serial with the data streams).
-    shuffle_cycles = shuffle_cycles_for(arch.vendor)
-    t_shuffle = (
-        cost.shuffles * ntiles * shuffle_cycles / (arch.num_cus * arch.clock_ghz * 1e9)
-    )
-
-    # Memory-instruction issue (loads + stores + per-tile overhead).
-    mem_instr = cost.loads_total + cost.stores
-    if vp.scalarized:
-        mem_instr *= cost.vl * vp.scalarized_slots
-    instrs = ntiles * (mem_instr + TILE_OVERHEAD_INSTRS)
-    t_issue = instrs / (arch.issue_rate * vp.issue_eff * occ)
-
-    return TimingBreakdown(
-        t_hbm=t_hbm,
-        t_l1=t_l1,
-        t_fp=t_fp,
-        t_shuffle=t_shuffle,
-        t_issue=t_issue,
-        launch_overhead=profile.launch_overhead_s,
-        occupancy=occ,
-    )
+    return timing_terms(timing_config(arch, profile, vp, cost), traffic, ntiles)

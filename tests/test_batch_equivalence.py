@@ -34,6 +34,9 @@ SMALL = harness.ExperimentConfig(stencils=("7pt",), domain=(64, 64, 64))
 STENCILS = ("7pt", "13pt", "27pt", "125pt")
 VARIANTS = ("array", "array_codegen", "bricks_codegen")
 PLATFORMS = study_platforms()
+#: Domains both engines must reject: not a tile multiple, an empty
+#: extent, a negative extent.
+BAD_DOMAINS = ((65, 64, 64), (0, 64, 64), (-64, 64, 64))
 
 
 @pytest.fixture
@@ -262,18 +265,19 @@ class TestBatchFailureSemantics:
     def test_bad_domain_raises_like_scalar(self):
         stencil = by_name("7pt").build()
         plat = platform("A100", "CUDA")
-        bad = BatchPoint(
-            stencil=stencil, variant="array", platform=plat,
-            domain=(65, 64, 64),
-        )
-        with pytest.raises(SimulationError) as batch_err:
-            simulate_batch([bad], check_invariants=False)
-        with pytest.raises(SimulationError) as scalar_err:
-            simulate(
-                stencil, "array", plat, domain=(65, 64, 64),
-                check_invariants=False,
+        for domain in BAD_DOMAINS:
+            bad = BatchPoint(
+                stencil=stencil, variant="array", platform=plat,
+                domain=domain,
             )
-        assert str(batch_err.value) == str(scalar_err.value)
+            with pytest.raises(SimulationError) as batch_err:
+                simulate_batch([bad], check_invariants=False)
+            with pytest.raises(SimulationError) as scalar_err:
+                simulate(
+                    stencil, "array", plat, domain=domain,
+                    check_invariants=False,
+                )
+            assert str(batch_err.value) == str(scalar_err.value)
 
     def test_unknown_variant_raises_like_scalar(self):
         stencil = by_name("7pt").build()
@@ -292,18 +296,19 @@ class TestBatchFailureSemantics:
             stencil=stencil, variant="array", platform=plat,
             domain=(64, 64, 64),
         )
-        bad = BatchPoint(
-            stencil=stencil, variant="array", platform=plat,
-            domain=(65, 64, 64),
-        )
-        out = simulate_batch(
-            [good, bad, good], capture_failures=True, check_invariants=False
-        )
-        assert isinstance(out[1], TaskFailure)
-        assert out[1].error_type == "SimulationError"
-        assert out[1].attempts == 1 and not out[1].timed_out
-        assert out[0] == out[2]
-        assert not isinstance(out[0], TaskFailure)
+        for domain in BAD_DOMAINS:
+            bad = BatchPoint(
+                stencil=stencil, variant="array", platform=plat,
+                domain=domain,
+            )
+            out = simulate_batch(
+                [good, bad, good], capture_failures=True, check_invariants=False
+            )
+            assert isinstance(out[1], TaskFailure)
+            assert out[1].error_type == "SimulationError"
+            assert out[1].attempts == 1 and not out[1].timed_out
+            assert out[0] == out[2]
+            assert not isinstance(out[0], TaskFailure)
 
     def test_failure_does_not_bump_counters(self, registry):
         stencil = by_name("7pt").build()

@@ -78,6 +78,20 @@ class TestSimulate:
             cli.main(["simulate", "--stencil", "7pt", "--arch", "PVC",
                       "--model", "CUDA"])
 
+    @pytest.mark.parametrize("domain", [
+        ("0", "64", "64"), ("-64", "64", "64"), ("60", "64", "64"),
+    ], ids=["empty", "negative", "not-tile-multiple"])
+    def test_bad_domain_is_one_error_line(self, capsys, domain):
+        rc = cli.main([
+            "simulate", "--stencil", "7pt", "--arch", "A100",
+            "--model", "CUDA", "--domain", *domain,
+        ])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: domain ")
+
 
 class TestEmit:
     def test_emit_cuda(self, capsys):

@@ -1,5 +1,7 @@
 """Tests for the traffic model, timing model, and their paper-shaped outputs."""
 
+import warnings
+
 import pytest
 
 from repro.dsl import by_name, compulsory_bytes, star
@@ -96,6 +98,26 @@ class TestTraffic:
         cap = ws_brick * 1.5
         assert layer_condition_extra(s, "brick", 4, (512, 512, 512), cap) == 0.0
         assert layer_condition_extra(s, "array", 4, (512, 512, 512), cap) > 0.0
+
+    def test_radius_zero_shares_no_planes_in_either_engine(self):
+        # A pointwise stencil has an empty layer-condition working set:
+        # no re-reads even with no cache, and the batch engine must not
+        # divide by that empty set.
+        from repro.dsl.coeffs import Coeff
+        from repro.dsl.stencil import Stencil
+        from repro.gpu import BatchPoint, simulate_batch
+
+        s = Stencil("out", "in", 3, taps={(0, 0, 0): Coeff.const(1.0)})
+        assert layer_condition_extra(s, "array", 4, (512, 512, 512), 0.0) == 0.0
+        plat = platform("MI250X", "HIP")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (batch,) = simulate_batch(
+                [BatchPoint(s, "array", plat, (64, 64, 64))],
+                check_invariants=False,
+            )
+        assert batch == simulate(s, "array", plat, (64, 64, 64))
+        assert batch.traffic.reuse_miss_bytes == 0.0
 
     def test_l1_gap_naive_vs_codegen(self):
         # Figure 4: array moves 10x or more L1 bytes vs codegen variants.

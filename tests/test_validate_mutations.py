@@ -125,38 +125,57 @@ class TestResumeMutation:
         assert any("replayed" in v.message for v in flagged)
 
 
+def _scalar_engine(stencil, variant, plat, name):
+    return gpu.simulate(
+        stencil, variant, plat, stencil_name=name, check_invariants=True
+    )
+
+
+def _batch_engine(stencil, variant, plat, name):
+    point = gpu.BatchPoint(
+        stencil=stencil, variant=variant, platform=plat, stencil_name=name
+    )
+    return gpu.simulate_batch([point], check_invariants=True)[0]
+
+
+ENGINES = (_scalar_engine, _batch_engine)
+
+
 class TestResultInvariantMutations:
     """Result-level invariants catch model breakage through the
-    opt-in ``check_invariants=`` hook of ``simulate``."""
+    opt-in ``check_invariants=`` hook, in both engines: each mutation
+    must reach ``simulate`` and ``simulate_batch`` alike, because both
+    evaluate the one model."""
 
-    def sim(self, **kw):
-        return gpu.simulate(
-            dsl.by_name("13pt").build(), "bricks_codegen",
-            gpu.platform("A100", "CUDA"), stencil_name="13pt", **kw
-        )
+    def violation_texts(self):
+        texts = []
+        for engine in ENGINES:
+            with pytest.raises(ValidationError) as exc:
+                engine(
+                    dsl.by_name("13pt").build(), "bricks_codegen",
+                    gpu.platform("A100", "CUDA"), "13pt",
+                )
+            texts.append(str(exc.value))
+        return texts
 
     def test_occupancy_above_one_is_flagged(self, monkeypatch):
         monkeypatch.setattr(timing, "occupancy_factor", lambda r, b: 1.5)
-        with pytest.raises(ValidationError) as exc:
-            self.sim(check_invariants=True)
-        assert "occupancy-is-a-fraction" in str(exc.value)
+        for text in self.violation_texts():
+            assert "occupancy-is-a-fraction" in text
 
     def test_negative_shuffle_cost_is_flagged(self, monkeypatch):
         monkeypatch.setattr(timing, "shuffle_cycles_for", lambda vendor: -1.0)
-        with pytest.raises(ValidationError) as exc:
-            self.sim(check_invariants=True)
-        assert "timing-terms-physical" in str(exc.value)
+        for text in self.violation_texts():
+            assert "timing-terms-physical" in text
 
     def test_lost_compulsory_traffic_is_flagged(self, monkeypatch):
         monkeypatch.setattr(
-            traffic, "layer_condition_extra",
+            traffic, "reread_bytes",
             lambda *a, **k: -2.0e9,  # "negative re-reads" sink the total
         )
-        with pytest.raises(ValidationError) as exc:
-            self.sim(check_invariants=True)
-        text = str(exc.value)
-        assert "hbm-at-least-compulsory" in text
-        assert "reuse-miss-bytes-sane" in text
+        for text in self.violation_texts():
+            assert "hbm-at-least-compulsory" in text
+            assert "reuse-miss-bytes-sane" in text
 
 
 class TestHealthyBaseline:
