@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from repro.codegen.vector_ir import Add, Init, Load, Mac, Shift, Store, VectorProgram
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProgramCost:
     """Per-tile static op counts for one vector program."""
 
@@ -59,6 +59,17 @@ class ProgramCost:
 
 
 def cost_of(program: VectorProgram) -> ProgramCost:
+    """The static costs of ``program``, tallied once per program.
+
+    A program is immutable, so the tally is kept on the instance and
+    every later call returns that same :class:`ProgramCost`.
+    """
+    if program._cost is None:
+        program._cost = _tally(program)
+    return program._cost
+
+
+def _tally(program: VectorProgram) -> ProgramCost:
     """Walk ``program`` and tally its static costs."""
     bk, bj, bi = program.tile
     r, vl = program.radius, program.vl

@@ -72,8 +72,10 @@ class CodegenOptions:
 #: :func:`generate` — the stencil's taps (offsets + coefficients), the
 #: tile shape, and the options — so the five platform columns of the
 #: study (three distinct SIMD widths) stop regenerating identical
-#: programs.  Values are shared instances: callers treat a
-#: ``VectorProgram`` as immutable after generation.
+#: programs.  Values are shared instances: a ``VectorProgram`` is
+#: immutable after generation (its ops are a tuple), so its register
+#: count and cost, computed once and kept on the instance, are shared
+#: by every caller too.
 _MEMO: Dict[Tuple, VectorProgram] = {}
 
 
@@ -90,9 +92,28 @@ def _memo_key(
     )
 
 
+#: The distinct op sequences of memoised programs, by length: programs
+#: differing only in vector length can have equal ops (the study's 18
+#: naive programs are 6 sequences at three widths), and those share one
+#: tuple.  Comparing against same-length sequences only, which mostly
+#: differ at their first op, is cheaper than hashing every op.
+_OP_SEQUENCES: Dict[int, List[Tuple[Op, ...]]] = {}
+
+
+def _shared_ops(ops: Tuple[Op, ...]) -> Tuple[Op, ...]:
+    """``ops``, or the equal sequence of an earlier memoised program."""
+    same_length = _OP_SEQUENCES.setdefault(len(ops), [])
+    for seen in same_length:
+        if seen == ops:
+            return seen
+    same_length.append(ops)
+    return ops
+
+
 def clear_codegen_memo() -> None:
     """Drop all memoised programs (tests and benchmarks)."""
     _MEMO.clear()
+    _OP_SEQUENCES.clear()
 
 
 def generate(
@@ -150,6 +171,7 @@ def generate(
             s_key = (len(s.ops), s.max_live_registers(), 1)
             prog = g if g_key <= s_key else s
         prog.validate()
+        prog.ops = _shared_ops(prog.ops)
         counter("codegen.programs").inc()
         if sp is not None:
             sp.set_attr("chosen", prog.strategy)

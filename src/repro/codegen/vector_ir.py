@@ -37,15 +37,19 @@ loads may address ``k in [-r, bk + r)`` etc.; stores only interior rows.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple, Union
+from itertools import accumulate
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.dsl.coeffs import Coeff
 from repro.errors import CodegenError
 
+if TYPE_CHECKING:
+    from repro.codegen.cost import ProgramCost
+
 LOAD_KINDS = ("aligned", "halo", "unaligned")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Load:
     dst: str
     k: int
@@ -54,7 +58,7 @@ class Load:
     kind: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Shift:
     dst: str
     lo: str
@@ -62,26 +66,26 @@ class Shift:
     amount: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Init:
     dst: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Add:
     dst: str
     a: str
     b: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Mac:
     dst: str
     src: str
     coeff: Coeff
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Store:
     src: str
     k: int
@@ -95,6 +99,11 @@ Op = Union[Load, Shift, Init, Add, Mac, Store]
 @dataclass
 class VectorProgram:
     """A generated vector program for one brick/tile of the iteration space.
+
+    A program is immutable once built: ``ops`` is stored as a tuple, and
+    the register count and :func:`~repro.codegen.cost.cost_of` result are
+    computed on first use and kept on the instance (in fields that take
+    no part in ``==`` or ``repr``).
 
     Attributes
     ----------
@@ -110,12 +119,21 @@ class VectorProgram:
         Which generator produced it (``naive`` / ``gather`` / ``scatter``).
     """
 
-    ops: List[Op]
+    ops: Tuple[Op, ...]
     tile: Tuple[int, int, int]
     radius: int
     vl: int
     strategy: str
     meta: Dict[str, object] = field(default_factory=dict)
+    _registers: Optional[int] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _cost: Optional["ProgramCost"] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        self.ops = tuple(self.ops)
 
     @property
     def nvec(self) -> int:
@@ -130,7 +148,16 @@ class VectorProgram:
             raise CodegenError(f"vl {vl} does not divide tile i-extent {bi}")
         defined: set = set()
         stored: set = set()
-        for op in self.ops:
+
+        def require_defined(idx: int, kind: str, regs: Tuple[str, ...]) -> None:
+            undefined = [r for r in regs if r not in defined]
+            if undefined:
+                raise CodegenError(
+                    f"op {idx}: {kind} uses undefined register(s) "
+                    f"{', '.join(undefined)}"
+                )
+
+        for idx, op in enumerate(self.ops):
             if isinstance(op, Load):
                 if op.kind not in LOAD_KINDS:
                     raise CodegenError(f"bad load kind {op.kind!r}")
@@ -142,14 +169,12 @@ class VectorProgram:
             elif isinstance(op, Shift):
                 if not 0 < op.amount < vl:
                     raise CodegenError(f"shift amount {op.amount} not in (0,{vl})")
-                if op.lo not in defined or op.hi not in defined:
-                    raise CodegenError(f"shift uses undefined register")
+                require_defined(idx, "shift", (op.lo, op.hi))
                 defined.add(op.dst)
             elif isinstance(op, Init):
                 defined.add(op.dst)
             elif isinstance(op, Add):
-                if op.a not in defined or op.b not in defined:
-                    raise CodegenError("add uses undefined register")
+                require_defined(idx, "add", (op.a, op.b))
                 defined.add(op.dst)
             elif isinstance(op, Mac):
                 if op.dst not in defined:
@@ -176,28 +201,12 @@ class VectorProgram:
     def max_live_registers(self) -> int:
         """Peak number of simultaneously-live virtual registers.
 
-        Computed by a backward liveness scan; a proxy for the register
-        pressure of the generated kernel.
+        A proxy for the register pressure of the generated kernel,
+        computed once per program (see :func:`_peak_live`).
         """
-        last_use: Dict[str, int] = {}
-        for idx, op in enumerate(self.ops):
-            for reg in _uses(op):
-                last_use[reg] = idx
-            if isinstance(op, (Mac, Init)):
-                # accumulator stays live through its final use too
-                last_use[op.dst] = max(last_use.get(op.dst, idx), idx)
-        live: set = set()
-        peak = 0
-        for idx, op in enumerate(self.ops):
-            d = _defines(op)
-            if d is not None:
-                live.add(d)
-            for reg in _uses(op):
-                live.add(reg)
-            peak = max(peak, len(live))
-            dead = {r for r in live if last_use.get(r, -1) <= idx}
-            live -= dead
-        return peak
+        if self._registers is None:
+            self._registers = _peak_live(self.ops)
+        return self._registers
 
     def pretty(self, limit: int | None = None) -> str:
         """Human-readable listing (used by tests and the emitters)."""
@@ -227,19 +236,48 @@ class VectorProgram:
         return "\n".join(lines)
 
 
-def _uses(op: Op) -> Tuple[str, ...]:
-    if isinstance(op, Shift):
-        return (op.lo, op.hi)
-    if isinstance(op, Add):
-        return (op.a, op.b)
-    if isinstance(op, Mac):
-        return (op.src, op.dst)
-    if isinstance(op, Store):
-        return (op.src,)
-    return ()
+def _peak_live(ops: Sequence[Op]) -> int:
+    """Peak live-register count of ``ops``, by one interval count.
 
-
-def _defines(op: Op) -> str | None:
-    if isinstance(op, (Load, Shift, Init, Add)):
-        return op.dst
-    return None
+    A register is live from its first touch (definition or use) through
+    its last use, where the destination of a ``Mac`` or ``Init`` counts
+    as a use.  A definition after the register's last use (including
+    every definition of a register that is never used) is live at that
+    op only.  Each live interval adds +1/-1 to a difference array; the
+    peak is its maximum prefix sum.
+    """
+    first: Dict[str, int] = {}
+    last: Dict[str, int] = {}
+    defs: List[Tuple[str, int]] = []
+    for idx, op in enumerate(ops):
+        defined: Optional[str] = None
+        uses: Tuple[str, ...] = ()
+        if isinstance(op, Load):
+            defined = op.dst
+        elif isinstance(op, Shift):
+            defined, uses = op.dst, (op.lo, op.hi)
+        elif isinstance(op, Add):
+            defined, uses = op.dst, (op.a, op.b)
+        elif isinstance(op, Mac):
+            uses = (op.src, op.dst)
+        elif isinstance(op, Init):
+            uses = (op.dst,)  # a use, so never a definition after the last use
+        elif isinstance(op, Store):
+            uses = (op.src,)
+        if defined is not None:
+            defs.append((defined, idx))
+            first.setdefault(defined, idx)
+        for reg in uses:
+            last[reg] = idx
+            first.setdefault(reg, idx)
+    diff = [0] * (len(ops) + 1)
+    for reg, start in first.items():
+        end = last.get(reg, -1)
+        if end >= start:
+            diff[start] += 1
+            diff[end + 1] -= 1
+    for reg, idx in defs:
+        if idx > last.get(reg, -1):
+            diff[idx] += 1
+            diff[idx + 1] -= 1
+    return max(accumulate(diff))

@@ -138,7 +138,6 @@ class _GroupTable:
         self._by_key: Dict[Tuple, _Group] = {}
         self._fast: Dict[Tuple, _Group] = {}
         self.groups: List[_Group] = []
-        self._cost_by_program: Dict[int, ProgramCost] = {}
 
     def __len__(self) -> int:
         return len(self.groups)
@@ -179,10 +178,7 @@ class _GroupTable:
         if group is not None:
             return group
         program = generate(stencil, dims, CodegenOptions(vl, strategy))
-        cost = self._cost_by_program.get(id(program))
-        if cost is None:
-            cost = cost_of(program)
-            self._cost_by_program[id(program)] = cost
+        cost = cost_of(program)
         arch, profile = platform.arch, platform.profile
         vp = profile.variant(variant)
         group = _Group(

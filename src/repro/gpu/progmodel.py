@@ -29,6 +29,7 @@ referencing the paper statement it reproduces.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Tuple
 
 from repro.errors import SimulationError
@@ -279,7 +280,7 @@ class Platform:
     arch: GPUArchitecture
     profile: ModelProfile
 
-    @property
+    @cached_property
     def name(self) -> str:
         return f"{self.arch.name}-{self.profile.model}"
 
@@ -287,15 +288,25 @@ class Platform:
         return self.name
 
 
+#: One shared :class:`Platform` per (architecture, model), so every
+#: result of every study references the same instance (and name string).
+_PLATFORMS: Dict[Tuple[str, str], Platform] = {}
+
+
 def platform(arch_name: str, model: str) -> Platform:
-    """Build the :class:`Platform` for one (architecture, model) pair."""
+    """The shared :class:`Platform` for one (architecture, model) pair."""
     key = (arch_name, model)
-    if key not in PROFILES:
-        raise SimulationError(
-            f"unsupported platform {arch_name}/{model}; supported: "
-            f"{sorted(PROFILES)}"
+    shared = _PLATFORMS.get(key)
+    if shared is None:
+        if key not in PROFILES:
+            raise SimulationError(
+                f"unsupported platform {arch_name}/{model}; supported: "
+                f"{sorted(PROFILES)}"
+            )
+        shared = _PLATFORMS[key] = Platform(
+            arch=architecture(arch_name), profile=PROFILES[key]
         )
-    return Platform(arch=architecture(arch_name), profile=PROFILES[key])
+    return shared
 
 
 def study_platforms() -> Tuple[Platform, ...]:

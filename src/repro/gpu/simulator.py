@@ -58,7 +58,7 @@ def _validate_enabled(check_invariants: bool | None) -> bool:
     return os.environ.get(VALIDATE_ENV, "0") not in ("", "0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SimulationResult:
     """Profile of one simulated kernel sweep."""
 

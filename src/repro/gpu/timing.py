@@ -86,7 +86,7 @@ def occupancy_factor(registers: int, reg_budget: int) -> float:
     return (reg_budget / registers) ** 0.5
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TimingBreakdown:
     """Per-resource times for one kernel sweep (seconds)."""
 

@@ -43,7 +43,7 @@ from repro.util import ceil_div, prod
 LAYOUTS = ("array", "brick")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Traffic:
     """Bytes moved by one kernel sweep, by level."""
 

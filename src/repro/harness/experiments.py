@@ -17,6 +17,7 @@ periodically checkpointed so an interrupted or partially-failed run can
 from __future__ import annotations
 
 import os
+import sys
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -41,6 +42,12 @@ from repro.resilience import FaultPlan
 STENCIL_NAMES: Tuple[str, ...] = tuple(c.name for c in TABLE2)
 
 Key = Tuple[str, str, str]  # (stencil, platform name, variant)
+
+#: One shared tuple per key: a long-running service keeps many studies
+#: whose results are keyed by the same few (stencil, platform, variant)
+#: triples, so each study's result dict reuses these instead of holding
+#: its own copies.
+_KEYS: Dict[Key, Key] = {}
 
 #: How many newly completed points accumulate between checkpoint flushes.
 CHECKPOINT_EVERY = 8
@@ -75,12 +82,13 @@ class ExperimentConfig:
 
     def keys(self) -> Tuple[Key, ...]:
         """Every (stencil, platform, variant) key, in sweep order."""
-        return tuple(
+        keys = (
             (name, platform.name, variant)
             for name in self.stencils
             for platform in self.platforms()
             for variant in self.variants
         )
+        return tuple(_KEYS.setdefault(key, key) for key in keys)
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-safe form, round-trippable via :func:`config_from_dict`."""
@@ -150,11 +158,13 @@ def config_from_dict(doc: Optional[Dict]) -> ExperimentConfig:
         raise MetricError(
             f"config 'domain' must be three positive integers, got {domain!r}"
         )
+    # Interned names: a service keeps every request's config, and its
+    # names repeat the same few catalogue strings.
     config = ExperimentConfig(
-        stencils=tuple(stencils),
-        variants=tuple(variants),
+        stencils=tuple(map(sys.intern, stencils)),
+        variants=tuple(map(sys.intern, variants)),
         domain=(domain[0], domain[1], domain[2]),
-        platform_filter=tuple(platforms),
+        platform_filter=tuple(map(sys.intern, platforms)),
     )
     config.platforms()  # validates platform names (raises MetricError)
     return config

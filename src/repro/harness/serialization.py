@@ -153,6 +153,15 @@ def load_csv_rows(path: str) -> List[Dict]:
 # re-runs and overwrites it).  The cache is strictly opt-in — callers
 # pass ``cache_dir`` (CLI ``--cache-dir`` / ``$REPRO_CACHE_DIR``).
 
+#: Layout stamp of the objects pickled into cache and checkpoint blobs.
+#: Bump it when a pickled class changes how it stores its state: the
+#: result records became ``slots=True`` dataclasses, and a blob written
+#: before that would unpickle into corrupt objects, so an unstamped blob
+#: loads as a miss.  Unlike ``SCHEMA_VERSION`` it is not part of the
+#: cache key or the result-store identity, so bumping it orphans no
+#: stored rows.
+PICKLE_LAYOUT = 2
+
 #: Environment variable supplying a cache directory when no ``cache_dir``
 #: argument is given.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -197,7 +206,11 @@ def save_study_cache(study: StudyResults, cache_dir: str) -> str:
     """
     os.makedirs(cache_dir, exist_ok=True)
     path = study_cache_path(cache_dir, study.config)
-    blob = {"schema_version": SCHEMA_VERSION, "study": study}
+    blob = {
+        "schema_version": SCHEMA_VERSION,
+        "pickle_layout": PICKLE_LAYOUT,
+        "study": study,
+    }
     tmp = f"{path}.tmp.{os.getpid()}"
     with FileLock(f"{path}.lock"):
         try:
@@ -210,23 +223,35 @@ def save_study_cache(study: StudyResults, cache_dir: str) -> str:
     return path
 
 
-def load_study_cache(
-    config: ExperimentConfig, cache_dir: str
-) -> Optional[StudyResults]:
-    """Load the cached study for ``config``, or None on any mismatch.
-
-    Missing files, unreadable pickles, schema-version drift, and
-    config mismatches (a hash collision, or a cache written by an
-    incompatible build) all return None — the caller re-simulates.
-    """
-    path = study_cache_path(cache_dir, config)
+def _load_blob(path: str) -> Optional[Dict]:
+    """The pickled blob at ``path`` if it carries this build's schema and
+    pickle-layout stamps, else None (missing or unreadable files too)."""
     try:
         with open(path, "rb") as f:
             blob = pickle.load(f)
     except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
             ImportError, IndexError):
         return None
-    if not isinstance(blob, dict) or blob.get("schema_version") != SCHEMA_VERSION:
+    if (
+        not isinstance(blob, dict)
+        or blob.get("schema_version") != SCHEMA_VERSION
+        or blob.get("pickle_layout") != PICKLE_LAYOUT
+    ):
+        return None
+    return blob
+
+
+def load_study_cache(
+    config: ExperimentConfig, cache_dir: str
+) -> Optional[StudyResults]:
+    """Load the cached study for ``config``, or None on any mismatch.
+
+    Missing files, unreadable pickles, schema-version or pickle-layout
+    drift, and config mismatches (a hash collision, or a cache written
+    by an incompatible build) all return None — the caller re-simulates.
+    """
+    blob = _load_blob(study_cache_path(cache_dir, config))
+    if blob is None:
         return None
     study = blob.get("study")
     if not isinstance(study, StudyResults) or study.config != config:
@@ -272,6 +297,7 @@ def save_study_checkpoint(
         merged = {**existing, **dict(results)}
         blob = {
             "schema_version": SCHEMA_VERSION,
+            "pickle_layout": PICKLE_LAYOUT,
             "config": config,
             "results": merged,
         }
@@ -290,19 +316,12 @@ def load_study_checkpoint(
 ) -> Optional[Dict]:
     """Completed points of an earlier run, or None on any mismatch.
 
-    Missing files, unreadable pickles, schema drift, and config
-    mismatches all load as None — the sweep simply starts from scratch.
+    Missing files, unreadable pickles, schema or pickle-layout drift,
+    and config mismatches all load as None — the sweep simply starts
+    from scratch.
     """
-    path = study_checkpoint_path(cache_dir, config)
-    try:
-        with open(path, "rb") as f:
-            blob = pickle.load(f)
-    except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
-            ImportError, IndexError):
-        return None
-    if not isinstance(blob, dict) or blob.get("schema_version") != SCHEMA_VERSION:
-        return None
-    if blob.get("config") != config:
+    blob = _load_blob(study_checkpoint_path(cache_dir, config))
+    if blob is None or blob.get("config") != config:
         return None
     results = blob.get("results")
     if not isinstance(results, dict):

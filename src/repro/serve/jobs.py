@@ -206,7 +206,7 @@ class JobOptions:
     def from_dict(cls, doc: Optional[Dict[str, Any]]) -> "JobOptions":
         """Parse a request's ``options`` object; loud on unknown keys."""
         if doc is None:
-            return cls()
+            return DEFAULT_OPTIONS
         if not isinstance(doc, dict):
             raise ServeError(
                 f"options must be a JSON object, got {type(doc).__name__}"
@@ -221,6 +221,10 @@ class JobOptions:
             return cls(**doc)
         except TypeError as exc:
             raise ServeError(f"bad options payload: {exc}") from None
+
+
+#: The options of a request that sets none, shared by all such jobs.
+DEFAULT_OPTIONS = JobOptions()
 
 
 @dataclass

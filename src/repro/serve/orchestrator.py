@@ -67,7 +67,7 @@ from repro.harness.experiments import (
     run_study,
 )
 from repro.obs import counter, get_tracer, span
-from repro.serve.jobs import Job, JobOptions, reserve_job_ids
+from repro.serve.jobs import DEFAULT_OPTIONS, Job, JobOptions, reserve_job_ids
 from repro.serve.journal import JobJournal
 from repro.serve.queue import JobQueue
 from repro.serve.store import ResultStore
@@ -345,12 +345,16 @@ class Orchestrator:
         Raises :class:`QueueFullError` when the queue rejects the
         submission — the HTTP layer maps it to 429.
         """
-        options = options or JobOptions()
+        options = options or DEFAULT_OPTIONS
         counter("serve.requests").inc()
         with self._lock:
             if options.clean:
                 study = self.store.get(config)
                 if study is not None:
+                    # Keep the stored study's config when it is equal,
+                    # so a dedup job holds no copy of the request's.
+                    if study.config == config:
+                        config = study.config
                     job = Job(config=config, options=options)
                     job.state = "done"
                     job.dedup = True
@@ -639,8 +643,9 @@ class Orchestrator:
     def _study_items(config: ExperimentConfig) -> List[Tuple]:
         """The study-item list ``run_study`` would sweep for ``config``."""
         platforms = config.platforms()
+        stencils = {name: by_name(name).build() for name in config.stencils}
         return [
-            (name, by_name(name).build(), platform, variant, config.domain)
+            (name, stencils[name], platform, variant, config.domain)
             for name in config.stencils
             for platform in platforms
             for variant in config.variants

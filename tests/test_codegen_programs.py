@@ -1,12 +1,19 @@
 """Structural tests for generated vector programs."""
 
+import random
+
 import pytest
 
+from repro import harness
 from repro.bricks import BrickDims
-from repro.codegen import CodegenOptions, cost_of, generate
-from repro.codegen.vector_ir import Load, Shift
+from repro.codegen import CodegenOptions, clear_codegen_memo, cost_of, generate, vector_ir
+from repro.codegen.vector_ir import Add, Init, Load, Mac, Shift, Store, VectorProgram
 from repro.dsl import by_name, cube, star
+from repro.dsl.coeffs import Coeff
 from repro.errors import CodegenError
+from repro.gpu import simulate
+from repro.gpu.progmodel import platform
+from repro.gpu.simulator import resolve
 
 DIMS = BrickDims((16, 4, 4))  # bi=16, bj=4, bk=4
 
@@ -166,3 +173,191 @@ class TestProgramInvariants:
         prog = gen(star(1), "gather")
         text = prog.pretty(limit=10)
         assert "gather" in text and "load" in text and "more ops" in text
+
+
+class TestValidateMessages:
+    def _program(self, *ops):
+        return VectorProgram(
+            ops=[Load("a", 0, 0, 0, "aligned"), *ops],
+            tile=(1, 1, 4), radius=1, vl=4, strategy="gather",
+        )
+
+    def test_shift_names_undefined_register(self):
+        prog = self._program(Shift("s", "a", "ghost", 1))
+        with pytest.raises(CodegenError, match=r"op 1: shift .* ghost$"):
+            prog.validate()
+
+    def test_add_names_undefined_registers(self):
+        prog = self._program(Add("t", "lost", "missing"))
+        with pytest.raises(CodegenError, match=r"op 1: add .* lost, missing$"):
+            prog.validate()
+
+
+def _uses(op):
+    if isinstance(op, Shift):
+        return (op.lo, op.hi)
+    if isinstance(op, Add):
+        return (op.a, op.b)
+    if isinstance(op, Mac):
+        return (op.src, op.dst)
+    if isinstance(op, Store):
+        return (op.src,)
+    return ()
+
+
+def _defines(op):
+    if isinstance(op, (Load, Shift, Init, Add)):
+        return op.dst
+    return None
+
+
+def rescan_max_live(ops):
+    """The register-pressure definition the one-pass count must reproduce:
+    a backward last-use table, then a forward scan that rescans the whole
+    live set after every op (O(ops x live))."""
+    last_use = {}
+    for idx, op in enumerate(ops):
+        for reg in _uses(op):
+            last_use[reg] = idx
+        if isinstance(op, (Mac, Init)):
+            last_use[op.dst] = max(last_use.get(op.dst, idx), idx)
+    live = set()
+    peak = 0
+    for idx, op in enumerate(ops):
+        d = _defines(op)
+        if d is not None:
+            live.add(d)
+        for reg in _uses(op):
+            live.add(reg)
+        peak = max(peak, len(live))
+        dead = {r for r in live if last_use.get(r, -1) <= idx}
+        live -= dead
+    return peak
+
+
+def study_tiles():
+    """Distinct (stencil, tile dims, vl) of the paper's 90-point study."""
+    config = harness.ExperimentConfig()
+    tiles = set()
+    for name in config.stencils:
+        for plat in config.platforms():
+            for variant in config.variants:
+                _, _, dims, vl = resolve(variant, plat)
+                tiles.add((name, dims.dims, vl))
+    return sorted(tiles)
+
+
+#: The programs behind each study tile: naive for ``array``, and both
+#: ``auto`` candidates (the chosen one and the loser) for the codegen
+#: variants.
+STUDY_STRATEGIES = ("naive", "gather", "scatter")
+
+#: Strategy grid beyond the study: (strategy, reuse).
+GRID_STRATEGIES = (("naive", True), ("gather", True), ("gather", False), ("scatter", True))
+
+
+@pytest.fixture
+def fresh_memo():
+    clear_codegen_memo()
+    yield
+    clear_codegen_memo()
+
+
+class TestRegisterPressure:
+    def test_matches_rescan_on_every_study_program(self, fresh_memo):
+        programs = [
+            gen(by_name(name).build(), strategy, vl=vl, dims=BrickDims(dims))
+            for name, dims, vl in study_tiles()
+            for strategy in STUDY_STRATEGIES
+        ]
+        assert len(programs) == 54
+        for prog in programs:
+            assert cost_of(prog).registers == rescan_max_live(prog.ops), (
+                prog.meta["stencil"], prog.tile, prog.strategy
+            )
+
+    @pytest.mark.parametrize("vl", [4, 8, 16, 32, 64])
+    def test_matches_rescan_on_tile_grid(self, vl, fresh_memo):
+        shapes = ((vl, 2, 2), (2 * vl, 2, 2), (vl, 2, 4), (vl, 4, 2), (vl, 2, 8))
+        checked = 0
+        for name in harness.ExperimentConfig().stencils:
+            s = by_name(name).build()
+            for shape in shapes:
+                if s.radius >= vl or s.radius > min(shape):
+                    continue
+                for strategy, reuse in GRID_STRATEGIES:
+                    prog = gen(s, strategy, vl=vl, dims=BrickDims(shape), reuse=reuse)
+                    assert prog.max_live_registers() == rescan_max_live(prog.ops), (
+                        name, shape, strategy, reuse
+                    )
+                    checked += 1
+        assert checked >= 80
+
+    def test_matches_rescan_on_random_programs(self):
+        # Hand-built programs reach what generated ones rarely do: uses of
+        # undefined registers, registers never used, and redefinitions
+        # after a register's last use.
+        rng = random.Random(13)
+        coeff = Coeff.symbol("c")
+        for _ in range(3000):
+            regs = [f"r{i}" for i in range(rng.randint(1, 6))]
+
+            def reg():
+                return rng.choice(regs)
+
+            makers = (
+                lambda: Load(reg(), 0, 0, 0, "aligned"),
+                lambda: Shift(reg(), reg(), reg(), 1),
+                lambda: Init(reg()),
+                lambda: Add(reg(), reg(), reg()),
+                lambda: Mac(reg(), reg(), coeff),
+                lambda: Store(reg(), 0, 0, 0),
+            )
+            ops = [rng.choice(makers)() for _ in range(rng.randint(0, 16))]
+            prog = VectorProgram(ops=ops, tile=(1, 1, 4), radius=1, vl=4, strategy="naive")
+            assert prog.max_live_registers() == rescan_max_live(ops), ops
+
+    def test_cold_study_scans_each_program_once(self, fresh_memo, monkeypatch):
+        expected = len(study_tiles()) * len(STUDY_STRATEGIES)
+        scans = []
+        scan = vector_ir._peak_live
+
+        def counting(ops):
+            scans.append(len(ops))
+            return scan(ops)
+
+        monkeypatch.setattr(vector_ir, "_peak_live", counting)
+        harness.clear_study_cache()
+        study = harness.run_study(harness.ExperimentConfig())
+        assert len(study.results) == 90
+        assert len(scans) == expected == 54
+
+    def test_cost_is_computed_once_per_program(self):
+        prog = gen(star(2), "gather")
+        assert cost_of(prog) is cost_of(prog)
+
+    def test_simulations_share_one_cost(self):
+        # A100 under CUDA and SYCL share one tile and vector length, so
+        # their codegen variants run one memoised program.
+        a, b = (
+            simulate(star(2), "bricks_codegen", platform("A100", model))
+            for model in ("CUDA", "SYCL")
+        )
+        assert a.cost is b.cost
+
+    def test_equal_op_sequences_share_one_tuple(self, fresh_memo):
+        # One vector per row: the naive program does not depend on vl.
+        narrow = gen(star(2), "naive", vl=16, dims=BrickDims((16, 4, 4)))
+        wide = gen(star(2), "naive", vl=32, dims=BrickDims((32, 4, 4)))
+        assert narrow is not wide and narrow.vl != wide.vl
+        assert narrow.ops is wide.ops
+
+    def test_caches_take_no_part_in_equality(self):
+        ops = gen(star(1), "gather").ops
+        fresh = VectorProgram(ops=list(ops), tile=(4, 4, 16), radius=1, vl=16,
+                              strategy="gather")
+        other = VectorProgram(ops=ops, tile=(4, 4, 16), radius=1, vl=16,
+                              strategy="gather")
+        cost_of(fresh)
+        assert fresh == other and repr(fresh) == repr(other)
+        assert isinstance(fresh.ops, tuple)

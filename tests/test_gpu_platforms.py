@@ -17,6 +17,14 @@ from repro.gpu import (
 )
 
 
+class TestPlatforms:
+    def test_one_shared_platform_per_pair(self):
+        a100 = platform("A100", "CUDA")
+        assert platform("A100", "CUDA") is a100
+        assert a100.name == "A100-CUDA" and a100.name is a100.name
+        assert study_platforms()[0] is a100
+
+
 class TestArchitectures:
     def test_paper_simd_widths(self):
         # Paper Section 4.4: vector_size 32 / 64 / 16.

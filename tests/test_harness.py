@@ -24,6 +24,12 @@ class TestStudy:
         # 6 stencils x 5 platforms x 3 variants.
         assert len(study) == 90
 
+    def test_result_keys_are_shared_across_studies(self, study):
+        other = harness.ExperimentConfig(stencils=("13pt",))
+        key = ("13pt", "A100-CUDA", "bricks_codegen")
+        shared = [k for k in study.results if k == key][0]
+        assert [k for k in other.keys() if k == key][0] is shared
+
     def test_lookup(self, study):
         r = study.get("13pt", "A100-CUDA", "bricks_codegen")
         assert r.stencil_name == "13pt"

@@ -305,6 +305,16 @@ class TestOrchestrator:
         assert not calls
         assert registry.counter("serve.dedup_hits").value == 1
 
+    def test_dedup_job_keeps_the_stored_config(self, registry):
+        orch = Orchestrator(ResultStore())
+        stored = harness.run_study(SMALL)
+        orch.store.put(stored)
+        request = config_from_dict(SMALL.to_dict())
+        assert request == SMALL and request is not SMALL
+        job = orch.submit(request, JobOptions.from_dict(None))
+        assert job.dedup and job.config is stored.config
+        assert job.options is JobOptions.from_dict(None)
+
     def test_inflight_coalescing_returns_same_job(self, registry):
         orch = Orchestrator(ResultStore())  # never started: job stays queued
         a = orch.submit(SMALL)

@@ -48,6 +48,34 @@ class TestDiskCache:
             pickle.dump(blob, f)
         assert serialization.load_study_cache(SMALL, str(tmp_path)) is None
 
+    def test_unstamped_blob_is_a_miss(self, tmp_path):
+        # A blob written before the result records gained __slots__ holds
+        # __dict__ state that would unpickle into corrupt objects.
+        study = harness.run_study(SMALL)
+        path = serialization.save_study_cache(study, str(tmp_path))
+        with open(path, "rb") as f:
+            blob = pickle.load(f)
+        assert blob["pickle_layout"] == serialization.PICKLE_LAYOUT
+        del blob["pickle_layout"]
+        with open(path, "wb") as f:
+            pickle.dump(blob, f)
+        assert serialization.load_study_cache(SMALL, str(tmp_path)) is None
+
+    def test_stamped_round_trip_returns_equal_study(self, tmp_path):
+        study = harness.run_study(SMALL)
+        serialization.save_study_cache(study, str(tmp_path))
+        loaded = serialization.load_study_cache(SMALL, str(tmp_path))
+        assert loaded == study
+        result = next(iter(loaded.results.values()))
+        assert result.time_s == result.timing.total > 0
+
+    def test_slotted_records_pickle_round_trip(self):
+        study = harness.run_study(SMALL)
+        result = next(iter(study.results.values()))
+        for record in (result, result.traffic, result.timing, result.cost):
+            assert not hasattr(record, "__dict__")
+        assert pickle.loads(pickle.dumps(study)) == study
+
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         path = serialization.study_cache_path(str(tmp_path), SMALL)
         tmp_path.mkdir(exist_ok=True)

@@ -6,6 +6,8 @@ so only the missing points are re-simulated.  A completed sweep clears
 its checkpoint (the full-study disk cache takes over from there).
 """
 
+import pickle
+
 import pytest
 
 from repro import harness, obs
@@ -225,6 +227,16 @@ class TestCheckpointStore:
             platform_filter=("A100-CUDA",),
         )
         assert serialization.load_study_checkpoint(other, cache_dir) is None
+
+    def test_unstamped_file_loads_none(self, tmp_path):
+        cache_dir = str(tmp_path)
+        path = serialization.save_study_checkpoint(CONFIG, {}, cache_dir)
+        with open(path, "rb") as f:
+            blob = pickle.load(f)
+        del blob["pickle_layout"]
+        with open(path, "wb") as f:
+            pickle.dump(blob, f)
+        assert serialization.load_study_checkpoint(CONFIG, cache_dir) is None
 
     def test_corrupt_file_loads_none(self, tmp_path):
         cache_dir = str(tmp_path)
