@@ -2,32 +2,51 @@
 
 :func:`simulate_batch` evaluates a whole (stencil x platform x variant
 x tile x domain) matrix without running a Python loop of scalar
-:func:`~repro.gpu.simulator.simulate` calls.  Three passes:
+:func:`~repro.gpu.simulator.simulate` calls.  Each chunk of points is
+columnar up to the row build, in three phases:
 
-1. **group resolution** — points sharing a (stencil signature, tile,
-   vector length, strategy, platform, variant) share exactly one
+1. **resolve** — points sharing a (stencil signature, tile, vector
+   length, strategy, platform, variant) share one ``_Group``: one
    codegen + cost-model evaluation (the scalar hot path's dominant
-   cost) and one pair of per-configuration constants
+   cost), one pair of per-configuration constants
    (:func:`~repro.gpu.traffic.traffic_config`,
-   :func:`~repro.gpu.timing.timing_config`); the domain axis — the axis
-   a 100k-point sweep actually multiplies — adds *no* groups, so its
-   marginal cost is pure array math;
-2. **vectorised evaluation** — each point's domain and its group's
+   :func:`~repro.gpu.timing.timing_config`) and the stencil's FLOPs
+   per domain point, computed once through
+   :func:`~repro.dsl.analysis.total_flops`.  The domain axis — the axis
+   a 100k-point sweep actually multiplies — adds *no* groups.  The
+   domain check is columnar too: one NumPy mask (every extent positive
+   and a multiple of the group's tile) and one tile-count column per
+   chunk.  A point that fails the mask takes the scalar route:
+   :func:`~repro.gpu.traffic.check_domain` raises exactly the scalar
+   path's error for it, or, for a valid point too large for exact
+   ``int64`` arithmetic, returns its tile count;
+2. **evaluate** — the masked points' domains and their groups'
    constants are gathered into NumPy ``int64``/``float64`` columns and
    handed to :func:`~repro.gpu.traffic.traffic_terms` and
    :func:`~repro.gpu.timing.timing_terms`, the very functions the
    scalar path calls on Python numbers.  Both engines run one formula:
-   it has no branches, integer quantities stay integers (exact in
-   ``int64``, and below 2**53, so they convert to float exactly on both
-   paths), and every float operation is the same IEEE operation on
-   the same operands in the same order whether its operands are Python
-   floats or array elements — so every result float is bit-identical to
-   the scalar path by construction;
-3. **assembly** — columns split back into rows with
+   it has no branches, integer quantities stay integers (the mask keeps
+   every integer term inside ``int64``; int-to-float conversion rounds
+   the same way on both paths), and every float operation is the same
+   IEEE operation on the same operands in the same order whether its
+   operands are Python floats or array elements — so every result float
+   is bit-identical to the scalar path by construction.  FLOPs are one
+   exact ``ni*nj*nk*flops_per_point`` product per point.  Points on the
+   scalar route run the same two formulas on Python numbers;
+3. **assemble** — columns split back into rows with
    ``ndarray.tolist()``, which hands back native Python ``int``/``float``
-   objects, so even the *types* of every field match the oracle; each
-   row goes through :func:`~repro.gpu.simulator.assemble`, the scalar
-   path's own result + invariant-check step.
+   objects, so even the *types* of every field match the oracle.  With
+   invariant checks off each row is one direct
+   :class:`~repro.gpu.simulator.SimulationResult` construction; with
+   them on, or when a point of the chunk left the columns, each row
+   goes through :func:`~repro.gpu.simulator.assemble`, the scalar
+   path's own result + invariant-check step, in point order.
+
+The ~3 objects built per point are acyclic, so the cyclic garbage
+collector is paused for each chunk's three phases (it would otherwise
+run hundreds of times per 100k points for nothing) and the caller's
+prior ``gc`` state is restored before any ``on_result`` callback runs
+or any error leaves the chunk.
 
 The scalar path stays the bit-checked oracle: the equivalence suite
 (``tests/test_batch_equivalence.py``) asserts field-by-field equality
@@ -36,38 +55,44 @@ study against the oracle on every run.
 
 Observability: one ``sweep.batch`` span (with ``dispatch``/``points``/
 ``groups``/``chunks`` attrs) wraps the evaluation, one ``sweep.chunk``
-span per chunk, and the per-point counters (``simulate.calls``,
-``simulate.tiles``, ``codegen.vector_ops``, and
+span per chunk with ``sweep.resolve``/``sweep.evaluate``/
+``sweep.assemble`` children, and the per-point counters
+(``simulate.calls``, ``simulate.tiles``, ``codegen.vector_ops``, and
 ``simulate.invariant_violations`` under ``REPRO_VALIDATE``) are bumped
 by exactly the amounts a scalar loop over the same points would bump
 them.  Per-point ``study.point``/``simulate`` spans are a scalar/pool
 feature — at 100k points they *are* the overhead this module removes.
 
 Failure semantics mirror the resilient scalar engine: with
-``capture_failures=True`` a point whose resolution or invariant check
-fails degrades into the same :class:`~repro.resilience.TaskFailure`
-record (same ``error_type``/``message``/``attempts``) that
-``parallel_map(..., capture_failures=True)`` would produce for it;
-without it, the error of the *earliest* failing point raises, after the
-counters of the points a scalar loop would have completed first.
+``capture_failures=True`` a point whose resolution, domain check or
+invariant check fails degrades into the same
+:class:`~repro.resilience.TaskFailure` record (same ``error_type``/
+``message``/``attempts``) that ``parallel_map(..., capture_failures=True)``
+would produce for it; without it, the error of the *earliest* failing
+point raises, after the counters of the points a scalar loop would have
+completed first.
 """
 
 from __future__ import annotations
 
+import gc
 import weakref
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from itertools import repeat
+from operator import attrgetter
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.bricks.layout import BrickDims
 from repro.codegen.cost import ProgramCost, cost_of
 from repro.codegen.generator import CodegenOptions, generate
-from repro.dsl.analysis import total_flops
+from repro.dsl.analysis import FP64_BYTES, total_flops
 from repro.dsl.stencil import Stencil
 from repro.errors import ValidationError
 from repro.gpu.progmodel import Platform
-from repro.gpu.simulator import assemble, resolve, _validate_enabled
+from repro.gpu.simulator import SimulationResult, assemble, resolve, _validate_enabled
 from repro.gpu.timing import TimingBreakdown, TimingConfig, timing_config, timing_terms
 from repro.gpu.traffic import (
     Traffic,
@@ -86,6 +111,11 @@ __all__ = ["DEFAULT_CHUNK", "BatchPoint", "simulate_batch"]
 #: overhead, small enough that checkpoint hooks and progress metrics
 #: fire at a useful cadence on 100k-point sweeps.
 DEFAULT_CHUNK = 16384
+
+#: A point goes through the columns only while its domain size times its
+#: group's ``int_scale`` stays below this; 2**62 leaves a factor-two
+#: margin below the ``int64`` limit for the float estimate of the bound.
+_INT64_SAFE = 2.0**62
 
 
 @dataclass(frozen=True)
@@ -116,12 +146,31 @@ def _stencil_signature(stencil: Stencil) -> Tuple:
     )
 
 
-@dataclass
+def _int_scale(t: TrafficConfig, m: TimingConfig, flops_per_point: int) -> int:
+    """A bound on every integer term of the model, per domain point.
+
+    For extents ``>= 1`` the halo-padded volume is at most ``(1 + 2r)**3``
+    domain points, the layer-condition working set at most
+    ``shared_planes`` planes, and a domain holds at most one tile per
+    point; so no integer the formulas (or the FLOP product) form on a
+    domain of ``n`` points exceeds ``n * _int_scale(...)``.
+    """
+    return max(
+        FP64_BYTES * (1 + 2 * t.radius) ** 3,
+        FP64_BYTES * t.shared_planes,
+        (t.load_sectors + t.store_sectors) * t.sector_bytes,
+        m.flops_per_tile,
+        m.shuffles_per_tile,
+        m.instrs_per_tile,
+        flops_per_point,
+    )
+
+
+@dataclass(eq=False)
 class _Group:
     """Everything constant across one (codegen x platform x variant) group."""
 
     index: int
-    stencil: Stencil
     platform: Platform
     cost: ProgramCost
     strategy: str
@@ -129,6 +178,8 @@ class _Group:
     tile_shape: Tuple[int, int, int]
     traffic: TrafficConfig
     timing: TimingConfig
+    flops_per_point: int
+    int_scale: int
 
 
 class _GroupTable:
@@ -142,31 +193,42 @@ class _GroupTable:
     def __len__(self) -> int:
         return len(self.groups)
 
-    def resolve(self, point: BatchPoint) -> _Group:
-        """The group for ``point``, building codegen/cost on first sight.
+    def resolve_chunk(
+        self, chunk: Sequence[BatchPoint], errors: Dict[int, Exception]
+    ) -> List[Optional[_Group]]:
+        """Each point's group, building codegen/cost on first sight.
 
-        Raises exactly what the scalar path would raise for this point
-        (unknown variant, codegen validation, ...).
+        A point that cannot resolve gets ``None`` and, in ``errors``,
+        exactly what the scalar path would raise for it (unknown variant,
+        codegen validation, ...).
 
         The fast path keys on object identity — a 100k-point sweep
         reuses a handful of stencil/platform objects, and hashing the
         frozen dataclasses themselves dominates batch time otherwise.
         ``id()`` keys are safe here: ``simulate_batch`` holds the point
         list (and so every stencil/platform) alive for the whole call.
+        The keys are built and looked up with C-level ``map``s; only the
+        misses run Python code.
         """
-        fast_key = (
-            id(point.stencil),
-            id(point.platform),
-            point.variant,
-            point.dims.dims if point.dims is not None else None,
-            point.vector_length,
-        )
-        group = self._fast.get(fast_key)
-        if group is not None:
-            return group
-        group = self._resolve_slow(point)
-        self._fast[fast_key] = group
-        return group
+        keys = list(zip(
+            map(id, map(attrgetter("stencil"), chunk)),
+            map(id, map(attrgetter("platform"), chunk)),
+            map(attrgetter("variant"), chunk),
+            map(getattr, map(attrgetter("dims"), chunk), repeat("dims"), repeat(None)),
+            map(attrgetter("vector_length"), chunk),
+        ))
+        groups: List[Optional[_Group]] = list(map(self._fast.get, keys))
+        if None in groups:
+            for i in [i for i, g in enumerate(groups) if g is None]:
+                group = self._fast.get(keys[i])
+                if group is None:
+                    try:
+                        group = self._fast[keys[i]] = self._resolve_slow(chunk[i])
+                    except Exception as exc:
+                        errors[i] = exc
+                        continue
+                groups[i] = group
+        return groups
 
     def _resolve_slow(self, point: BatchPoint) -> _Group:
         stencil, platform, variant = point.stencil, point.platform, point.variant
@@ -181,20 +243,70 @@ class _GroupTable:
         cost = cost_of(program)
         arch, profile = platform.arch, platform.profile
         vp = profile.variant(variant)
+        traffic = traffic_config(stencil, layout, cost, arch, profile, vp, dims.shape)
+        timing = timing_config(arch, profile, vp, cost)
+        # total_flops is linear in the domain size: one point's worth.
+        flops_per_point = total_flops(stencil, (1, 1, 1))
         group = _Group(
             index=len(self.groups),
-            stencil=stencil,
             platform=platform,
             cost=cost,
             strategy=program.strategy,
             ops=len(program.ops),
             tile_shape=dims.shape,
-            traffic=traffic_config(stencil, layout, cost, arch, profile, vp, dims.shape),
-            timing=timing_config(arch, profile, vp, cost),
+            traffic=traffic,
+            timing=timing,
+            flops_per_point=flops_per_point,
+            int_scale=_int_scale(traffic, timing, flops_per_point),
         )
         self._by_key[key] = group
         self.groups.append(group)
         return group
+
+    def column(self, attr: str, gidx: np.ndarray, dtype: Any = None) -> np.ndarray:
+        """Per-point column of one ``_Group`` attribute."""
+        return np.array([getattr(g, attr) for g in self.groups], dtype=dtype)[gidx]
+
+
+def _plain(domain: Any) -> bool:
+    """Three Python ints small enough for the columns."""
+    return len(domain) == 3 and all(
+        type(e) is int and abs(e) < _INT64_SAFE for e in domain
+    )
+
+
+def _check_domains(
+    domains: List[Tuple[int, int, int]], gidx: np.ndarray, table: _GroupTable
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Columnar :func:`~repro.gpu.traffic.check_domain` over a chunk.
+
+    Returns the ``(n, 3)`` domain array, the mask of points that resolved,
+    pass the check and keep every integer term of the model inside
+    ``int64``, and the tile-count column (meaningful where the mask holds).
+    """
+    try:
+        dom = np.array(domains)
+    except (OverflowError, ValueError):
+        dom = None
+    if dom is None or dom.dtype.kind != "i" or dom.shape != (len(domains), 3):
+        # Extents beyond int64, non-int or of the wrong arity: such a
+        # point fails the mask and takes the scalar route.
+        dom = np.array(
+            [d if _plain(d) else (0, 0, 0) for d in domains], dtype=np.int64
+        )
+    resolved = gidx >= 0
+    if not resolved.any():
+        return dom, resolved, np.zeros(len(domains), dtype=np.int64)
+    ni, nj, nk = dom.T
+    bk, bj, bi = table.column("tile_shape", gidx, np.int64).T
+    scale = table.column("int_scale", gidx, np.float64)
+    ok = (
+        resolved
+        & (dom > 0).all(axis=1)
+        & (ni % bi == 0) & (nj % bj == 0) & (nk % bk == 0)
+        & (dom.astype(np.float64).prod(axis=1) * scale < _INT64_SAFE)
+    )
+    return dom, ok, (ni // bi) * (nj // bj) * (nk // bk)
 
 
 class _Columns:
@@ -235,26 +347,23 @@ class _Columns:
             if source is not None and source[0]() is column:
                 column = np.array(source[1], dtype=object)[self.gidx]
             lists.append(np.broadcast_to(column, len(self.gidx)).tolist())
-        return [cls(*row) for row in zip(*lists)]
+        return list(map(cls, *lists))
 
 
 def _evaluate(
-    domains: List[Tuple[int, int, int]],
-    ntiles: List[int],
-    groups: List[_Group],
-    table: _GroupTable,
-) -> Tuple[List[Traffic], List[TimingBreakdown]]:
-    """Traffic and timing of the resolvable chunk points, one formula call
-    each over gathered columns (see the module docstring for why that
-    makes the floats bit-identical to the scalar path)."""
-    cols = _Columns(np.array([g.index for g in groups]))
-    ni, nj, nk = np.array(domains, dtype=np.int64).T
-    tiles = np.array(ntiles, dtype=np.int64)
+    dom: np.ndarray, ntiles: np.ndarray, gidx: np.ndarray, table: _GroupTable
+) -> Tuple[List[Traffic], List[TimingBreakdown], List[int]]:
+    """Traffic, timing and FLOPs of the masked chunk points, one formula
+    call each over gathered columns (see the module docstring for why
+    that makes the floats bit-identical to the scalar path)."""
+    cols = _Columns(gidx)
+    ni, nj, nk = dom.T
     traffic = traffic_terms(
-        cols.gather([g.traffic for g in table.groups]), ni, nj, nk, tiles
+        cols.gather([g.traffic for g in table.groups]), ni, nj, nk, ntiles
     )
-    timing = timing_terms(cols.gather([g.timing for g in table.groups]), traffic, tiles)
-    return cols.rows(traffic), cols.rows(timing)
+    timing = timing_terms(cols.gather([g.timing for g in table.groups]), traffic, ntiles)
+    flops = ni * nj * nk * table.column("flops_per_point", gidx, np.int64)
+    return cols.rows(traffic), cols.rows(timing), flops.tolist()
 
 
 def _failure(exc: Exception) -> TaskFailure:
@@ -267,59 +376,125 @@ def _failure(exc: Exception) -> TaskFailure:
     )
 
 
+@contextmanager
+def _gc_paused() -> Iterator[None]:
+    """Pause the cyclic collector; restore the caller's state on exit.
+
+    Only a collector that was on is switched back on, so concurrent
+    batches on several threads leave it as they found it.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _run_chunk(
+    chunk: Sequence[BatchPoint], table: _GroupTable, validate: bool, capture: bool
+) -> List[Any]:
+    """One chunk: resolve and check, evaluate, assemble and count."""
+    n = len(chunk)
+    errors: Dict[int, Exception] = {}
+    with span("sweep.resolve"):
+        groups = table.resolve_chunk(chunk, errors)
+        gidx = np.fromiter((-1 if g is None else g.index for g in groups), np.intp, n)
+        domains = list(map(attrgetter("domain"), chunk))
+        dom, ok, ntiles = _check_domains(domains, gidx, table)
+        # The scalar route: an error, or a valid point too large for the
+        # columns (evaluated on Python numbers below).
+        scalar: Dict[int, int] = {}
+        for i in np.flatnonzero(~ok).tolist():
+            if i not in errors:
+                try:
+                    scalar[i] = check_domain(
+                        dims_to_shape(domains[i]), groups[i].tile_shape
+                    )
+                except Exception as exc:
+                    errors[i] = exc
+
+    with span("sweep.evaluate"):
+        sel = np.flatnonzero(ok)
+        traffics, timings, flops = _evaluate(
+            dom[sel], ntiles[sel], gidx[sel], table
+        ) if len(sel) else ([], [], [])
+        tiles: List[int] = ntiles[sel].tolist()
+        rows: List[Any] = [None] * n
+        if len(sel) < n:
+            # Back to chunk order; the scalar route runs the same
+            # formulas on Python numbers.
+            for i, row in zip(sel.tolist(), zip(traffics, timings, flops, tiles)):
+                rows[i] = row
+            for i, nt in scalar.items():
+                group = groups[i]
+                ni, nj, nk = domains[i]
+                try:
+                    traffic = traffic_terms(group.traffic, ni, nj, nk, nt)
+                    timing = timing_terms(group.timing, traffic, nt)
+                except Exception as exc:
+                    errors[i] = exc
+                    continue
+                rows[i] = (traffic, timing, ni * nj * nk * group.flops_per_point, nt)
+
+    with span("sweep.assemble"):
+        if len(sel) == n and not validate:
+            names = list(map(attrgetter("stencil_name"), chunk))
+            if not all(names):
+                names = [p.stencil_name or p.stencil.description() for p in chunk]
+            out: List[Any] = list(map(
+                SimulationResult,
+                map(attrgetter("platform"), groups),
+                map(attrgetter("variant"), chunk),
+                names,
+                domains,
+                flops,
+                traffics,
+                timings,
+                map(attrgetter("cost"), groups),
+                map(attrgetter("strategy"), groups),
+            ))
+            counter("simulate.calls").inc(n)
+            counter("simulate.tiles").inc(sum(tiles))
+            counter("codegen.vector_ops").inc(sum(map(attrgetter("ops"), groups)))
+            return out
+        if len(sel) == n:
+            rows = list(zip(traffics, timings, flops, tiles))
+        return _assemble_checked(chunk, groups, rows, errors, validate, capture)
+
+
+def _assemble_checked(
     chunk: Sequence[BatchPoint],
-    table: _GroupTable,
-    flops_memo: Dict[Tuple, int],
+    groups: List[Optional[_Group]],
+    rows: List[Any],
+    errors: Dict[int, Exception],
     validate: bool,
     capture: bool,
 ) -> List[Any]:
-    """One chunk: resolve, vectorise, assemble, validate, count."""
-    n = len(chunk)
-    groups: List[Optional[_Group]] = [None] * n
-    ntiles: List[int] = [0] * n
-    errors: List[Optional[Exception]] = [None] * n
-    for i, point in enumerate(chunk):
-        try:
-            group = table.resolve(point)
-            ntiles[i] = check_domain(dims_to_shape(point.domain), group.tile_shape)
-            groups[i] = group
-        except Exception as exc:
-            errors[i] = exc
+    """The row build point by point, in chunk order: failures, invariant
+    checks through :func:`~repro.gpu.simulator.assemble`, counters.
 
-    ok = [i for i in range(n) if errors[i] is None]
-    traffics, timings = _evaluate(
-        [chunk[i].domain for i in ok],
-        [ntiles[i] for i in ok],
-        [groups[i] for i in ok],
-        table,
-    ) if ok else ([], [])
-    rows = zip(traffics, timings)
-
+    ``rows`` holds each evaluated point's (traffic, timing, flops, tiles).
+    """
     out: List[Any] = []
-    calls = tiles = vector_ops = 0
+    calls = ntiles = vector_ops = 0
 
     def flush() -> None:
         if calls:
             counter("simulate.calls").inc(calls)
-            counter("simulate.tiles").inc(tiles)
+            counter("simulate.tiles").inc(ntiles)
             counter("codegen.vector_ops").inc(vector_ops)
 
-    for i, point in enumerate(chunk):
-        error = errors[i]
+    for i, (point, group, row) in enumerate(zip(chunk, groups, rows)):
+        error = errors.get(i)
         if error is None:
-            group = groups[i]
             assert group is not None
-            traffic, timing = next(rows)
-            flops_key = (id(group.stencil), point.domain)
-            flops = flops_memo.get(flops_key)
-            if flops is None:
-                flops = total_flops(group.stencil, point.domain)
-                flops_memo[flops_key] = flops
+            traffic, timing, flops, tiles = row
             # The scalar path bumps these before its invariant check, so
             # a violating point still counts a simulate() call.
             calls += 1
-            tiles += ntiles[i]
+            ntiles += tiles
             vector_ops += group.ops
             try:
                 out.append(assemble(
@@ -375,7 +550,6 @@ def simulate_batch(
     points = list(points)
     validate = _validate_enabled(check_invariants)
     table = _GroupTable()
-    flops_memo: Dict[Tuple, int] = {}
     chunk_size = max(1, chunk_size)
     nchunks = ceil_div(len(points), chunk_size) if points else 0
     results: List[Any] = []
@@ -387,14 +561,12 @@ def simulate_batch(
     ) as sp:
         for start in range(0, len(points), chunk_size):
             chunk = points[start:start + chunk_size]
-            with span("sweep.chunk", n=len(chunk), offset=start):
-                chunk_out = _run_chunk(
-                    chunk, table, flops_memo, validate, capture_failures
-                )
-            for i, result in enumerate(chunk_out):
-                results.append(result)
-                if on_result is not None:
-                    on_result(start + i, result)
+            with _gc_paused(), span("sweep.chunk", n=len(chunk), offset=start):
+                chunk_out = _run_chunk(chunk, table, validate, capture_failures)
+            results.extend(chunk_out)
+            if on_result is not None:
+                for i, result in enumerate(chunk_out, start):
+                    on_result(i, result)
         if sp is not None:
             sp.set_attr("groups", len(table))
         counter("sweep.batch.points").inc(len(points))

@@ -8,6 +8,7 @@ These tests pin that contract, plus the dispatch decision layer that
 routes between the engines.
 """
 
+import gc
 import struct
 
 import pytest
@@ -37,6 +38,11 @@ PLATFORMS = study_platforms()
 #: Domains both engines must reject: not a tile multiple, an empty
 #: extent, a negative extent.
 BAD_DOMAINS = ((65, 64, 64), (0, 64, 64), (-64, 64, 64))
+#: Valid domains whose byte counts leave the int64 range: the first once
+#: multiplied out (2**60 points), the second already in its point count.
+HUGE_DOMAINS = ((64 * 2**20, 4 * 2**20, 4 * 2**10), (64 * 2**22, 4 * 2**20, 4 * 2**20))
+#: The per-point counters a batch must bump exactly like a scalar loop.
+POINT_COUNTERS = ("simulate.calls", "simulate.tiles", "codegen.vector_ops")
 
 
 @pytest.fixture
@@ -337,6 +343,133 @@ class TestBatchFailureSemantics:
         )
         assert [i for i, _ in seen] == [0, 1, 2]
         assert [r for _, r in seen] == out
+
+
+def _scalar(p, check_invariants=False):
+    return simulate(
+        p.stencil, p.variant, p.platform, domain=p.domain,
+        stencil_name=p.stencil_name, check_invariants=check_invariants,
+    )
+
+
+def _counters(registry):
+    return {name: registry.counter(name).value for name in POINT_COUNTERS}
+
+
+def _mixed_chunk():
+    """Good points interleaved with every kind of scalar-route point."""
+    seven, thirteen = by_name("7pt").build(), by_name("13pt").build()
+    plat = platform("A100", "CUDA")
+    domains = [(64, 64, 64), (128, 32, 16)] + list(BAD_DOMAINS) + list(HUGE_DOMAINS)
+    points = [
+        BatchPoint(stencil=stencil, variant=variant, platform=plat,
+                   domain=domain, stencil_name=name)
+        for domain in domains
+        for name, stencil in (("7pt", seven), ("13pt", thirteen))
+        for variant in ("array", "bricks_codegen")
+    ]
+    points.insert(3, BatchPoint(stencil=seven, variant="nope", platform=plat))
+    return points
+
+
+class TestColumnarFallback:
+    """Points failing the columnar domain mask take the scalar route and
+    must come out exactly as a scalar loop leaves them."""
+
+    @pytest.mark.parametrize("domain", HUGE_DOMAINS)
+    def test_int64_overflow_domain_matches_oracle(self, domain):
+        # Neither an int64 wrap (a negative byte count) nor a bare
+        # OverflowError: the result is the oracle's.
+        point = BatchPoint(
+            stencil=by_name("7pt").build(), variant="bricks_codegen",
+            platform=PLATFORMS[0], domain=domain,
+        )
+        (batch,) = simulate_batch([point], check_invariants=False)
+        assert_bit_identical(batch, _scalar(point))
+        assert batch.traffic.hbm_read_bytes > 0
+
+    @pytest.mark.parametrize("chunk_size", [3, 1024])
+    @pytest.mark.parametrize("check", [False, True])
+    def test_mixed_chunk_captures_like_scalar(self, chunk_size, check):
+        points = _mixed_chunk()
+        batch = simulate_batch(
+            points, capture_failures=True, check_invariants=check,
+            chunk_size=chunk_size,
+        )
+        scalar = parallel_map(
+            lambda p: _scalar(p, check), points, capture_failures=True
+        )
+        assert [type(b) for b in batch] == [type(s) for s in scalar]
+        assert batch == scalar
+        assert sum(isinstance(b, TaskFailure) for b in batch) == 4 * 3 + 1
+
+    @pytest.mark.parametrize("chunk_size", [3, 1024])
+    def test_mixed_chunk_raises_like_scalar(self, registry, chunk_size):
+        points = _mixed_chunk()
+        with pytest.raises(Exception) as scalar_err:
+            for p in points:
+                _scalar(p)
+        scalar_counts = _counters(registry)
+        assert scalar_counts["simulate.calls"] == 3
+        obs.set_registry(obs.MetricsRegistry())
+        with pytest.raises(Exception) as batch_err:
+            simulate_batch(points, check_invariants=False, chunk_size=chunk_size)
+        assert type(batch_err.value) is type(scalar_err.value)
+        assert str(batch_err.value) == str(scalar_err.value)
+        assert _counters(obs.get_registry()) == scalar_counts
+
+    def test_counters_match_scalar_with_fallback_points(self, registry):
+        points = [p for p in _mixed_chunk() if p.variant != "nope"]
+        points = [p for p in points if p.domain not in BAD_DOMAINS]
+        for p in points:
+            _scalar(p)
+        scalar_counts = _counters(registry)
+        obs.set_registry(obs.MetricsRegistry())
+        simulate_batch(points, check_invariants=False)
+        assert _counters(obs.get_registry()) == scalar_counts
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_gc_state_restored(self, enabled):
+        stencil = by_name("7pt").build()
+        plat = platform("A100", "CUDA")
+        good = BatchPoint(stencil=stencil, variant="array", platform=plat,
+                          domain=(64, 64, 64))
+        bad = BatchPoint(stencil=stencil, variant="array", platform=plat,
+                         domain=(65, 64, 64))
+        was = gc.isenabled()
+        try:
+            gc.enable() if enabled else gc.disable()
+            seen = []
+            simulate_batch(
+                [good] * 3, check_invariants=False, chunk_size=2,
+                on_result=lambda i, r: seen.append(gc.isenabled()),
+            )
+            assert seen == [enabled] * 3
+            assert gc.isenabled() is enabled
+            with pytest.raises(SimulationError):
+                simulate_batch([good, bad], check_invariants=False)
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable() if was else gc.disable()
+
+    def test_chunk_phase_spans_cover_the_chunk(self, tracer):
+        points = [
+            BatchPoint(stencil=by_name(name).build(), variant=variant,
+                       platform=plat, domain=(64 * m, 32, 16))
+            for name in ("7pt", "27pt")
+            for plat in PLATFORMS
+            for variant in VARIANTS
+            for m in range(1, 81)
+        ]
+        simulate_batch(points, check_invariants=False, chunk_size=1200)
+        (batch,) = tracer.find("sweep.batch")
+        assert [c.name for c in batch.children] == ["sweep.chunk"] * 2
+        for chunk in batch.children:
+            assert [c.name for c in chunk.children] == [
+                "sweep.resolve", "sweep.evaluate", "sweep.assemble",
+            ]
+            covered = sum(c.duration_s for c in chunk.children)
+            assert covered >= 0.9 * chunk.duration_s
 
 
 class TestDispatchDecision:
