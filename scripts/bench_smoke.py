@@ -325,7 +325,8 @@ def batch_bench(failures: list, doc: dict, jobs: int) -> None:
     ``simulate.*`` counter deltas; (b) the vectorized study's own
     points/s; (c) a cold ~100k-point ``simulate_batch`` must beat a
     scalar baseline probe (same points, same ``check_invariants=False``)
-    by >= 100x, with a sampled spot-check against scalar ``simulate()``;
+    by >= 100x, with a sampled spot-check against scalar ``simulate()``
+    (building every row of its result is timed and recorded beside it);
     (d) auto-dispatch with ``--jobs`` must be at least as fast as the
     serial engine on the 90-point study.
     """
@@ -355,8 +356,8 @@ def batch_bench(failures: list, doc: dict, jobs: int) -> None:
         )
 
     # (d): auto-dispatch must never lose to serial on the study.  Timed
-    # before the 100k leg so its measurement isn't taken with ~500k
-    # result objects live on the heap.
+    # before the 100k leg so its measurement isn't taken with the 100k
+    # leg's materialised rows (~300k result objects) live on the heap.
     auto_study, auto_s = _timed_study(parallel=jobs)
     harness.clear_study_cache()
     if auto_study.results != oracle.results:
@@ -369,12 +370,14 @@ def batch_bench(failures: list, doc: dict, jobs: int) -> None:
         )
 
     # (c): 100k-point batch vs a scalar baseline probe.  Two reps, best
-    # taken (standard min-of-N timing): the first rep pays one-off heap
-    # growth for ~500k result objects on top of the cold codegen memo,
-    # which is allocator warm-up, not engine throughput.  Both are
-    # recorded; each rep clears the codegen memo so codegen stays cold.
+    # taken (standard min-of-N timing): the first rep pays one-off
+    # allocator warm-up on top of the cold codegen memo, which is not
+    # engine throughput.  Both are recorded; each rep clears the codegen
+    # memo so codegen stays cold.  The batch returns columns and builds
+    # result rows only when read, so each rep also times building every
+    # row (``list()``, ~300k objects): the cost an eager consumer pays.
     matrix = _batch_matrix()
-    batch_s = float("inf")
+    batch_s = materialise_s = float("inf")
     batch_cold_s = None
     for _ in range(2):
         clear_codegen_memo()
@@ -382,6 +385,9 @@ def batch_bench(failures: list, doc: dict, jobs: int) -> None:
         t0 = time.perf_counter()
         batch_results = simulate_batch(matrix, check_invariants=False)
         rep_s = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        list(batch_results)
+        materialise_s = min(materialise_s, time.perf_counter() - t0)
         if batch_cold_s is None:
             batch_cold_s = rep_s
         batch_s = min(batch_s, rep_s)
@@ -425,6 +431,7 @@ def batch_bench(failures: list, doc: dict, jobs: int) -> None:
         "points_100k": len(matrix),
         "batch_s": round(batch_s, 3),
         "batch_cold_s": round(batch_cold_s, 3),
+        "materialise_s": round(materialise_s, 3),
         "points_per_s_100k": round(batch_pts_per_s),
         "probe_points": len(sample_idx),
         "serial_probe_points_per_s": round(probe_pts_per_s, 1),
@@ -437,7 +444,8 @@ def batch_bench(failures: list, doc: dict, jobs: int) -> None:
     }
     print(
         f"batch: {len(matrix)} points in {batch_s:.2f} s "
-        f"({batch_pts_per_s:.0f} pts/s, {speedup:.0f}x scalar), "
+        f"({batch_pts_per_s:.0f} pts/s, {speedup:.0f}x scalar; "
+        f"every row built in {materialise_s:.2f} s more), "
         f"90-point study {vec_s:.3f} s, auto(x{jobs}) {auto_speedup:.2f}x"
     )
 

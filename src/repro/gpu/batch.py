@@ -2,8 +2,10 @@
 
 :func:`simulate_batch` evaluates a whole (stencil x platform x variant
 x tile x domain) matrix without running a Python loop of scalar
-:func:`~repro.gpu.simulator.simulate` calls.  Each chunk of points is
-columnar up to the row build, in three phases:
+:func:`~repro.gpu.simulator.simulate` calls, and returns it as a
+:class:`StudyFrame`: one NumPy column per result field, with the
+per-point :class:`~repro.gpu.simulator.SimulationResult` rows built
+only when they are read.  Each chunk of points runs three phases:
 
 1. **resolve** — points sharing a (stencil signature, tile, vector
    length, strategy, platform, variant) share one ``_Group``: one
@@ -14,12 +16,14 @@ columnar up to the row build, in three phases:
    per domain point, computed once through
    :func:`~repro.dsl.analysis.total_flops`.  The domain axis — the axis
    a 100k-point sweep actually multiplies — adds *no* groups.  The
-   domain check is columnar too: one NumPy mask (every extent positive
-   and a multiple of the group's tile) and one tile-count column per
-   chunk.  A point that fails the mask takes the scalar route:
+   domain check is columnar too: one flat ``int64`` gather of the
+   extents, one NumPy mask (every extent positive and a multiple of the
+   group's tile) and one tile-count column per chunk.  A point that
+   fails the mask takes the scalar route:
    :func:`~repro.gpu.traffic.check_domain` raises exactly the scalar
    path's error for it, or, for a valid point too large for exact
-   ``int64`` arithmetic, returns its tile count;
+   ``int64`` arithmetic (or with non-``int`` extents), returns its tile
+   count;
 2. **evaluate** — the masked points' domains and their groups'
    constants are gathered into NumPy ``int64``/``float64`` columns and
    handed to :func:`~repro.gpu.traffic.traffic_terms` and
@@ -33,20 +37,22 @@ columnar up to the row build, in three phases:
    is bit-identical to the scalar path by construction.  FLOPs are one
    exact ``ni*nj*nk*flops_per_point`` product per point.  Points on the
    scalar route run the same two formulas on Python numbers;
-3. **assemble** — columns split back into rows with
-   ``ndarray.tolist()``, which hands back native Python ``int``/``float``
-   objects, so even the *types* of every field match the oracle.  With
-   invariant checks off each row is one direct
-   :class:`~repro.gpu.simulator.SimulationResult` construction; with
-   them on, or when a point of the chunk left the columns, each row
-   goes through :func:`~repro.gpu.simulator.assemble`, the scalar
-   path's own result + invariant-check step, in point order.
+3. **assemble** — with invariant checks off, every point columnar and
+   no ``on_result`` hook, the chunk's columns *are* its result: no row
+   is built.  Otherwise each row goes through
+   :func:`~repro.gpu.simulator.assemble`, the scalar path's own result +
+   invariant-check step, in point order, and fills the frame's row
+   cache up front (and the frame's columns are read off those rows).
 
-The ~3 objects built per point are acyclic, so the cyclic garbage
-collector is paused for each chunk's three phases (it would otherwise
-run hundreds of times per 100k points for nothing) and the caller's
-prior ``gc`` state is restored before any ``on_result`` callback runs
-or any error leaves the chunk.
+Rows built later, on access, split the columns back with
+``ndarray.tolist()``, which hands back native Python ``int``/``float``
+objects, so even the *types* of every field match the oracle, and go
+through the same ``SimulationResult``/``Traffic``/``TimingBreakdown``
+constructors.  The objects built per point are acyclic, so the cyclic
+garbage collector is paused for each chunk's three phases and for each
+block of rows built (it would otherwise run hundreds of times per 100k
+points for nothing); the caller's prior ``gc`` state is restored
+before any ``on_result`` callback runs or any error leaves the chunk.
 
 The scalar path stays the bit-checked oracle: the equivalence suite
 (``tests/test_batch_equivalence.py``) asserts field-by-field equality
@@ -76,10 +82,11 @@ completed first.
 from __future__ import annotations
 
 import gc
-import weakref
+import operator
+from collections.abc import Sequence as SequenceABC
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
-from itertools import repeat
+from itertools import chain, repeat
 from operator import attrgetter
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -105,17 +112,28 @@ from repro.obs import counter, gauge, span
 from repro.resilience.policy import TaskFailure
 from repro.util import ceil_div, dims_to_shape
 
-__all__ = ["DEFAULT_CHUNK", "BatchPoint", "simulate_batch"]
+__all__ = ["DEFAULT_CHUNK", "BatchPoint", "StudyFrame", "simulate_batch"]
 
 #: Points per vectorised chunk: large enough to amortise the NumPy call
 #: overhead, small enough that checkpoint hooks and progress metrics
-#: fire at a useful cadence on 100k-point sweeps.
+#: fire at a useful cadence on 100k-point sweeps.  Also the block of
+#: rows a :class:`StudyFrame` builds at a time while it is iterated.
 DEFAULT_CHUNK = 16384
 
 #: A point goes through the columns only while its domain size times its
 #: group's ``int_scale`` stays below this; 2**62 leaves a factor-two
 #: margin below the ``int64`` limit for the float estimate of the bound.
 _INT64_SAFE = 2.0**62
+
+_TRAFFIC_FIELDS = tuple(f.name for f in fields(Traffic))
+_TIMING_FIELDS = tuple(f.name for f in fields(TimingBreakdown))
+
+#: The frame's columns, each with the getter that reads it off a row.
+_COLUMNS: Dict[str, Callable[[SimulationResult], Any]] = {
+    "flops": attrgetter("flops"),
+    **{name: attrgetter(f"traffic.{name}") for name in _TRAFFIC_FIELDS},
+    **{name: attrgetter(f"timing.{name}") for name in _TIMING_FIELDS},
+}
 
 
 @dataclass(frozen=True)
@@ -172,6 +190,7 @@ class _Group:
 
     index: int
     platform: Platform
+    variant: str
     cost: ProgramCost
     strategy: str
     ops: int  # len(program.ops), for the codegen.vector_ops counter
@@ -250,6 +269,7 @@ class _GroupTable:
         group = _Group(
             index=len(self.groups),
             platform=platform,
+            variant=variant,
             cost=cost,
             strategy=program.strategy,
             ops=len(program.ops),
@@ -275,6 +295,29 @@ def _plain(domain: Any) -> bool:
     )
 
 
+def _domain_array(domains: List[Tuple[int, int, int]]) -> np.ndarray:
+    """The ``(n, 3)`` ``int64`` array of a chunk's domains.
+
+    The common case — every domain three Python ints — is one flat
+    C-level gather.  Extents beyond ``int64``, non-``int`` (a float
+    gathers silently as an int) or of the wrong arity are checked for
+    first; such a point reads ``(0, 0, 0)``, fails the mask and takes
+    the scalar route.
+    """
+    n = len(domains)
+    try:
+        if set(map(len, domains)) <= {3} and set(
+            map(type, chain.from_iterable(domains))
+        ) <= {int}:
+            flat = np.fromiter(chain.from_iterable(domains), np.int64, 3 * n)
+            return flat.reshape(n, 3)
+    except (TypeError, OverflowError):
+        pass
+    return np.array(
+        [d if _plain(d) else (0, 0, 0) for d in domains], dtype=np.int64
+    ).reshape(n, 3)
+
+
 def _check_domains(
     domains: List[Tuple[int, int, int]], gidx: np.ndarray, table: _GroupTable
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -284,16 +327,7 @@ def _check_domains(
     pass the check and keep every integer term of the model inside
     ``int64``, and the tile-count column (meaningful where the mask holds).
     """
-    try:
-        dom = np.array(domains)
-    except (OverflowError, ValueError):
-        dom = None
-    if dom is None or dom.dtype.kind != "i" or dom.shape != (len(domains), 3):
-        # Extents beyond int64, non-int or of the wrong arity: such a
-        # point fails the mask and takes the scalar route.
-        dom = np.array(
-            [d if _plain(d) else (0, 0, 0) for d in domains], dtype=np.int64
-        )
+    dom = _domain_array(domains)
     resolved = gidx >= 0
     if not resolved.any():
         return dom, resolved, np.zeros(len(domains), dtype=np.int64)
@@ -309,61 +343,230 @@ def _check_domains(
     return dom, ok, (ni // bi) * (nj // bj) * (nk // bk)
 
 
-class _Columns:
-    """Per-point columns gathered from per-group configs, and back to rows."""
-
-    def __init__(self, gidx: np.ndarray) -> None:
-        self.gidx = gidx
-        # id(column) -> (weak ref to the column, per-group values).  The
-        # weak ref lets the formula free a column it is done with, and
-        # tells a live column from a later array that reuses its id.
-        self._sources: Dict[int, Tuple[weakref.ref, list]] = {}
-
-    def gather(self, configs: List[Any]) -> Any:
-        """A config whose fields are the per-point columns of ``configs[gidx]``."""
-        cls = type(configs[0])
-        columns = []
-        for f in fields(cls):
-            values = [getattr(c, f.name) for c in configs]
-            column = np.array(values)[self.gidx]
-            self._sources[id(column)] = (weakref.ref(column), values)
-            columns.append(column)
-        return cls(*columns)
-
-    def rows(self, columns: Any) -> List[Any]:
-        """Split a dataclass of per-point columns into per-point instances.
-
-        A field passed through unchanged from a gathered config
-        (occupancy, launch overhead) keeps the config's float objects, as
-        the scalar path does, rather than one new float per point.  A
-        field that is a single number (a helper patched to a constant, as
-        in the mutation tests) stands for every point.
-        """
-        cls = type(columns)
-        lists = []
-        for f in fields(cls):
-            column = getattr(columns, f.name)
-            source = self._sources.get(id(column))
-            if source is not None and source[0]() is column:
-                column = np.array(source[1], dtype=object)[self.gidx]
-            lists.append(np.broadcast_to(column, len(self.gidx)).tolist())
-        return list(map(cls, *lists))
+def _gather(configs: List[Any], gidx: np.ndarray) -> Any:
+    """A config whose fields are the per-point columns of ``configs[gidx]``."""
+    cls = type(configs[0])
+    return cls(*(
+        np.array([getattr(c, f.name) for c in configs])[gidx] for f in fields(cls)
+    ))
 
 
 def _evaluate(
     dom: np.ndarray, ntiles: np.ndarray, gidx: np.ndarray, table: _GroupTable
-) -> Tuple[List[Traffic], List[TimingBreakdown], List[int]]:
-    """Traffic, timing and FLOPs of the masked chunk points, one formula
-    call each over gathered columns (see the module docstring for why
-    that makes the floats bit-identical to the scalar path)."""
-    cols = _Columns(gidx)
+) -> Dict[str, np.ndarray]:
+    """The result columns of the masked chunk points, one formula call
+    each over gathered columns (see the module docstring for why that
+    makes the floats bit-identical to the scalar path)."""
     ni, nj, nk = dom.T
     traffic = traffic_terms(
-        cols.gather([g.traffic for g in table.groups]), ni, nj, nk, ntiles
+        _gather([g.traffic for g in table.groups], gidx), ni, nj, nk, ntiles
     )
-    timing = timing_terms(cols.gather([g.timing for g in table.groups]), traffic, ntiles)
-    flops = ni * nj * nk * table.column("flops_per_point", gidx, np.int64)
-    return cols.rows(traffic), cols.rows(timing), flops.tolist()
+    timing = timing_terms(
+        _gather([g.timing for g in table.groups], gidx), traffic, ntiles
+    )
+    columns = {"flops": ni * nj * nk * table.column("flops_per_point", gidx, np.int64)}
+    # A field that is a single number (a helper patched to a constant,
+    # as in the mutation tests) stands for every point.
+    for terms in (traffic, timing):
+        for f in fields(terms):
+            columns[f.name] = np.broadcast_to(getattr(terms, f.name), len(gidx))
+    return columns
+
+
+def _split(
+    columns: Dict[str, np.ndarray], idx: Any
+) -> Tuple[List[Traffic], List[TimingBreakdown], List[int]]:
+    """The ``Traffic``/``TimingBreakdown`` instances and FLOP counts of
+    the points ``idx`` of ``columns``, as native Python numbers."""
+
+    def rows(cls: type, names: Tuple[str, ...]) -> List[Any]:
+        return list(map(cls, *(columns[name][idx].tolist() for name in names)))
+
+    return (
+        rows(Traffic, _TRAFFIC_FIELDS),
+        rows(TimingBreakdown, _TIMING_FIELDS),
+        columns["flops"][idx].tolist(),
+    )
+
+
+def _exact_column(values: List[Any]) -> np.ndarray:
+    """One column of Python numbers, every value kept exactly: ``int64``
+    when all are ints inside it, ``float64`` when all are floats (or ints
+    a float holds exactly), else ``object``."""
+    kinds = set(map(type, values))
+    if kinds <= {int}:
+        try:
+            return np.array(values, dtype=np.int64)
+        except OverflowError:
+            pass
+    elif kinds <= {int, float} and all(
+        abs(v) <= 2**53 for v in values if type(v) is int
+    ):
+        return np.array(values, dtype=np.float64)
+    return np.array(values, dtype=object)
+
+
+def _row_columns(rows: List[Any]) -> Dict[str, np.ndarray]:
+    """A chunk's columns read off its built rows; 0 at failed points."""
+    ok = [not isinstance(r, TaskFailure) for r in rows]
+    return {
+        name: _exact_column([get(r) if k else 0 for r, k in zip(rows, ok)])
+        for name, get in _COLUMNS.items()
+    }
+
+
+class StudyFrame(SequenceABC):
+    """The result of :func:`simulate_batch`: columns, with lazy rows.
+
+    A read-only sequence with one entry per input point, in input order.
+    ``frame[i]`` (negative indices too) is the point's
+    :class:`~repro.gpu.simulator.SimulationResult` — built from the
+    columns on first access and cached, so ``frame[i] is frame[i]`` — or
+    the :class:`~repro.resilience.TaskFailure` recorded for it.  A slice
+    returns a list; iteration builds rows a block at a time; a frame
+    compares equal to any sequence holding equal entries in order.
+
+    :meth:`column` reads one field for every point without building a
+    row.  Rows were already built (at batch time, through the checked
+    path) when invariant checks were on, an ``on_result`` hook was
+    given, or a chunk held a point off the columnar route (a failure, a
+    huge or non-``int`` domain); every other row is built on demand.
+    A frame is not safe to read from several threads at once: two
+    threads building one row may each get their own copy.
+    """
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(
+        self,
+        columns: Dict[str, np.ndarray],
+        gidx: np.ndarray,
+        groups: List[_Group],
+        domains: List[Any],
+        names: List[str],
+        rows: Optional[List[Any]] = None,
+    ) -> None:
+        n = len(gidx)
+        self._columns = columns
+        for column in columns.values():
+            column.flags.writeable = False
+        self._gidx = gidx
+        self._groups = groups
+        self._domains = domains
+        self._names = names
+        if rows is None:
+            self._rows: List[Any] = [None] * n
+            self._todo = np.ones(n, dtype=bool)
+        else:
+            self._rows = rows
+            self._todo = np.fromiter((r is None for r in rows), bool, n)
+
+    @classmethod
+    def _join(cls, frames: List["StudyFrame"], groups: List[_Group]) -> "StudyFrame":
+        """One frame of the chunk frames, in order."""
+        if len(frames) == 1:
+            return frames[0]
+        if not frames:
+            return cls(
+                {name: np.empty(0) for name in _COLUMNS},
+                np.empty(0, dtype=np.intp), groups, [], [],
+            )
+        lazy = all(f._todo.all() for f in frames)
+        return cls(
+            {name: np.concatenate([f._columns[name] for f in frames])
+             for name in _COLUMNS},
+            np.concatenate([f._gidx for f in frames]),
+            groups,
+            list(chain.from_iterable(f._domains for f in frames)),
+            list(chain.from_iterable(f._names for f in frames)),
+            None if lazy else list(chain.from_iterable(f._rows for f in frames)),
+        )
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, index: Any) -> Any:
+        n = len(self._rows)
+        if isinstance(index, slice):
+            covered = range(n)[index]
+            if covered:
+                lo, hi = sorted((covered[0], covered[-1]))
+                self._build(lo, hi + 1)
+            return self._rows[index]
+        i = operator.index(index)
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError(f"StudyFrame index {index} out of range for {n} points")
+        if self._todo[i]:
+            self._build(i, i + 1)
+        return self._rows[i]
+
+    def __iter__(self) -> Iterator[Any]:
+        n = len(self._rows)
+        for lo in range(0, n, DEFAULT_CHUNK):
+            hi = min(lo + DEFAULT_CHUNK, n)
+            self._build(lo, hi)
+            yield from self._rows[lo:hi]
+
+    def __eq__(self, other: Any) -> bool:
+        if not isinstance(other, SequenceABC) or isinstance(other, (str, bytes)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def __repr__(self) -> str:
+        return f"StudyFrame({len(self)} points, {len(self._groups)} groups)"
+
+    def column(self, name: str) -> np.ndarray:
+        """One result field for every point, as a read-only array.
+
+        ``name`` is ``"flops"``, a :class:`~repro.gpu.traffic.Traffic` or
+        :class:`~repro.gpu.timing.TimingBreakdown` field, or ``"time_s"``
+        (``timing.total``, as a new array).  Each entry is bit-identical
+        to the row attribute; entries at failed points read 0.  Values
+        beyond ``int64`` make an ``object`` column.
+        """
+        if name == "time_s":
+            # TimingBreakdown.total, operation for operation; where()
+            # keeps Python max()'s choice (the first of equal values).
+            c = self._columns
+            total = c["t_hbm"] + c["t_shuffle"] + c["t_issue"]
+            total = np.where(c["t_l1"] > total, c["t_l1"], total)
+            total = np.where(c["t_fp"] > total, c["t_fp"], total)
+            return total + c["launch_overhead"]
+        try:
+            return self._columns[name]
+        except KeyError:
+            raise KeyError(
+                f"no column {name!r}; known: {sorted(self._columns) + ['time_s']}"
+            ) from None
+
+    def _build(self, lo: int, hi: int) -> None:
+        """Build and cache the rows in ``[lo, hi)`` not built yet."""
+        idx = np.flatnonzero(self._todo[lo:hi])
+        if not len(idx):
+            return
+        idx += lo
+        ids = idx.tolist()
+        groups = list(map(self._groups.__getitem__, self._gidx[idx].tolist()))
+        with _gc_paused():
+            traffics, timings, flops = _split(self._columns, idx)
+            built = map(
+                SimulationResult,
+                map(attrgetter("platform"), groups),
+                map(attrgetter("variant"), groups),
+                map(self._names.__getitem__, ids),
+                map(self._domains.__getitem__, ids),
+                flops,
+                traffics,
+                timings,
+                map(attrgetter("cost"), groups),
+                map(attrgetter("strategy"), groups),
+            )
+            rows = self._rows
+            for i, row in zip(ids, built):
+                rows[i] = row
+        self._todo[idx] = False
 
 
 def _failure(exc: Exception) -> TaskFailure:
@@ -393,9 +596,16 @@ def _gc_paused() -> Iterator[None]:
 
 
 def _run_chunk(
-    chunk: Sequence[BatchPoint], table: _GroupTable, validate: bool, capture: bool
-) -> List[Any]:
-    """One chunk: resolve and check, evaluate, assemble and count."""
+    chunk: Sequence[BatchPoint],
+    table: _GroupTable,
+    validate: bool,
+    capture: bool,
+    eager: bool,
+) -> StudyFrame:
+    """One chunk: resolve and check, evaluate, assemble and count.
+
+    ``eager`` builds every row now (the ``on_result`` hook reads them).
+    """
     n = len(chunk)
     errors: Dict[int, Exception] = {}
     with span("sweep.resolve"):
@@ -403,8 +613,8 @@ def _run_chunk(
         gidx = np.fromiter((-1 if g is None else g.index for g in groups), np.intp, n)
         domains = list(map(attrgetter("domain"), chunk))
         dom, ok, ntiles = _check_domains(domains, gidx, table)
-        # The scalar route: an error, or a valid point too large for the
-        # columns (evaluated on Python numbers below).
+        # The scalar route: an error, or a valid point the columns cannot
+        # hold exactly (evaluated on Python numbers below).
         scalar: Dict[int, int] = {}
         for i in np.flatnonzero(~ok).tolist():
             if i not in errors:
@@ -417,56 +627,46 @@ def _run_chunk(
 
     with span("sweep.evaluate"):
         sel = np.flatnonzero(ok)
-        traffics, timings, flops = _evaluate(
-            dom[sel], ntiles[sel], gidx[sel], table
-        ) if len(sel) else ([], [], [])
-        tiles: List[int] = ntiles[sel].tolist()
-        rows: List[Any] = [None] * n
-        if len(sel) < n:
-            # Back to chunk order; the scalar route runs the same
-            # formulas on Python numbers.
-            for i, row in zip(sel.tolist(), zip(traffics, timings, flops, tiles)):
-                rows[i] = row
-            for i, nt in scalar.items():
-                group = groups[i]
-                ni, nj, nk = domains[i]
-                try:
-                    traffic = traffic_terms(group.traffic, ni, nj, nk, nt)
-                    timing = timing_terms(group.timing, traffic, nt)
-                except Exception as exc:
-                    errors[i] = exc
-                    continue
-                rows[i] = (traffic, timing, ni * nj * nk * group.flops_per_point, nt)
+        columns = _evaluate(dom[sel], ntiles[sel], gidx[sel], table) if len(sel) else {}
+        scalar_rows: Dict[int, Tuple] = {}
+        for i, nt in scalar.items():
+            group = groups[i]
+            ni, nj, nk = domains[i]
+            try:
+                traffic = traffic_terms(group.traffic, ni, nj, nk, nt)
+                timing = timing_terms(group.timing, traffic, nt)
+            except Exception as exc:
+                errors[i] = exc
+                continue
+            scalar_rows[i] = (traffic, timing, ni * nj * nk * group.flops_per_point, nt)
 
     with span("sweep.assemble"):
-        if len(sel) == n and not validate:
-            names = list(map(attrgetter("stencil_name"), chunk))
-            if not all(names):
-                names = [p.stencil_name or p.stencil.description() for p in chunk]
-            out: List[Any] = list(map(
-                SimulationResult,
-                map(attrgetter("platform"), groups),
-                map(attrgetter("variant"), chunk),
-                names,
-                domains,
-                flops,
-                traffics,
-                timings,
-                map(attrgetter("cost"), groups),
-                map(attrgetter("strategy"), groups),
-            ))
+        names = list(map(attrgetter("stencil_name"), chunk))
+        if not all(names):
+            names = [p.stencil_name or p.stencil.description() for p in chunk]
+        if len(sel) == n and not (validate or eager):
+            per_group = np.bincount(gidx, minlength=len(table)).tolist()
             counter("simulate.calls").inc(n)
-            counter("simulate.tiles").inc(sum(tiles))
-            counter("codegen.vector_ops").inc(sum(map(attrgetter("ops"), groups)))
-            return out
-        if len(sel) == n:
-            rows = list(zip(traffics, timings, flops, tiles))
-        return _assemble_checked(chunk, groups, rows, errors, validate, capture)
+            counter("simulate.tiles").inc(sum(ntiles.tolist()))
+            counter("codegen.vector_ops").inc(
+                sum(map(operator.mul, map(attrgetter("ops"), table.groups), per_group))
+            )
+            return StudyFrame(columns, gidx, table.groups, domains, names)
+        rows: List[Any] = [None] * n
+        if len(sel):
+            evaluated = zip(*_split(columns, slice(None)), ntiles[sel].tolist())
+            for i, row in zip(sel.tolist(), evaluated):
+                rows[i] = row
+        for i, row in scalar_rows.items():
+            rows[i] = row
+        out = _assemble_checked(chunk, groups, names, rows, errors, validate, capture)
+        return StudyFrame(_row_columns(out), gidx, table.groups, domains, names, out)
 
 
 def _assemble_checked(
     chunk: Sequence[BatchPoint],
     groups: List[Optional[_Group]],
+    names: List[str],
     rows: List[Any],
     errors: Dict[int, Exception],
     validate: bool,
@@ -486,7 +686,7 @@ def _assemble_checked(
             counter("simulate.tiles").inc(ntiles)
             counter("codegen.vector_ops").inc(vector_ops)
 
-    for i, (point, group, row) in enumerate(zip(chunk, groups, rows)):
+    for i, (point, group, name, row) in enumerate(zip(chunk, groups, names, rows)):
         error = errors.get(i)
         if error is None:
             assert group is not None
@@ -498,10 +698,8 @@ def _assemble_checked(
             vector_ops += group.ops
             try:
                 out.append(assemble(
-                    group.platform, point.variant,
-                    point.stencil_name or point.stencil.description(),
-                    point.domain, flops, traffic, timing, group.cost,
-                    group.strategy, validate,
+                    group.platform, point.variant, name, point.domain, flops,
+                    traffic, timing, group.cost, group.strategy, validate,
                 ))
                 continue
             except ValidationError as exc:
@@ -525,15 +723,16 @@ def simulate_batch(
     chunk_size: int = DEFAULT_CHUNK,
     on_result: Optional[Callable[[int, Any], None]] = None,
     dispatch: str = "vectorized",
-) -> List[Any]:
+) -> StudyFrame:
     """Simulate a matrix of points; bit-identical to a scalar loop.
 
-    Returns one entry per input point, in input order: a
-    :class:`~repro.gpu.simulator.SimulationResult`, or (with
-    ``capture_failures=True``) a :class:`~repro.resilience.TaskFailure`
-    carrying the same error a resilient scalar run would record.
-    Without ``capture_failures`` the earliest failing point's exception
-    raises, exactly like a scalar loop at that point.
+    Returns a :class:`StudyFrame` with one entry per input point, in
+    input order: a :class:`~repro.gpu.simulator.SimulationResult`, or
+    (with ``capture_failures=True``) a
+    :class:`~repro.resilience.TaskFailure` carrying the same error a
+    resilient scalar run would record.  Without ``capture_failures`` the
+    earliest failing point's exception raises, exactly like a scalar
+    loop at that point.
 
     ``check_invariants`` mirrors :func:`~repro.gpu.simulator.simulate`
     (``None`` defers to ``REPRO_VALIDATE``); ``on_result`` is called as
@@ -552,7 +751,7 @@ def simulate_batch(
     table = _GroupTable()
     chunk_size = max(1, chunk_size)
     nchunks = ceil_div(len(points), chunk_size) if points else 0
-    results: List[Any] = []
+    frames: List[StudyFrame] = []
     with span(
         "sweep.batch",
         points=len(points),
@@ -562,14 +761,17 @@ def simulate_batch(
         for start in range(0, len(points), chunk_size):
             chunk = points[start:start + chunk_size]
             with _gc_paused(), span("sweep.chunk", n=len(chunk), offset=start):
-                chunk_out = _run_chunk(chunk, table, validate, capture_failures)
-            results.extend(chunk_out)
+                frame = _run_chunk(
+                    chunk, table, validate, capture_failures, on_result is not None
+                )
+            frames.append(frame)
             if on_result is not None:
-                for i, result in enumerate(chunk_out, start):
+                for i, result in enumerate(frame._rows, start):
                     on_result(i, result)
+        frame = StudyFrame._join(frames, table.groups)
         if sp is not None:
             sp.set_attr("groups", len(table))
         counter("sweep.batch.points").inc(len(points))
         counter("sweep.batch.chunks").inc(nchunks)
         gauge("sweep.batch.groups").set(len(table))
-    return results
+    return frame

@@ -187,7 +187,7 @@ def simulate(
         stencil=name,
         variant=variant,
         platform=platform.name,
-        domain=f"{domain[0]}x{domain[1]}x{domain[2]}",
+        domain="x".join(map(str, domain)),
     ):
         with span("codegen", strategy=strategy, vl=vl):
             program = generate(stencil, dims, CodegenOptions(vl, strategy))

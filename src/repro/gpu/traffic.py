@@ -88,9 +88,11 @@ def check_domain(
 ) -> int:
     """Tiles covering ``domain``; both in numpy order.
 
-    Raises :class:`SimulationError` unless every extent is a positive
-    multiple of the tile extent.
+    Raises :class:`SimulationError` unless the domain has three extents,
+    each a positive multiple of the tile extent.
     """
+    if len(domain) != 3:
+        raise SimulationError(f"domain {domain} does not have 3 extents")
     if min(domain) <= 0:
         raise SimulationError(f"domain {domain} has a non-positive extent")
     if any(n % b != 0 for n, b in zip(domain, tile_shape)):

@@ -129,9 +129,18 @@ class ServeHandler(BaseHTTPRequestHandler):
         self._send_json(status, {"error": message}, extra_headers)
 
     def _read_body(self) -> bytes:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length > _MAX_BODY_BYTES:
-            raise ServeError(f"request body too large ({length} bytes)")
+        header = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(header)
+        except ValueError:
+            length = None
+        if length is None or not 0 <= length <= _MAX_BODY_BYTES:
+            # The body is left unread, so the rest of the stream is not
+            # a next request: answer, then close the connection.
+            self.close_connection = True
+            if length is not None and length > _MAX_BODY_BYTES:
+                raise ServeError(f"request body too large ({length} bytes)")
+            raise ServeError(f"bad Content-Length {header!r}")
         return self.rfile.read(length) if length else b""
 
     # ---- verbs -------------------------------------------------------------

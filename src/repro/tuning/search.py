@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.dsl.stencil import Stencil
 from repro.errors import SimulationError
@@ -113,6 +113,10 @@ class Autotuner:
             if sp is not None:
                 sp.set_attr("mode", mode)
             counter(f"tune.mode.{mode}").inc()
+            # (point, time_s, index into results), failures aside.
+            ranked: List[Tuple[TuningPoint, float, int]] = []
+            dropped: List[Tuple[TuningPoint, TaskFailure]] = []
+            results: Sequence[Any]
             if use_batch:
                 bpoints = [
                     BatchPoint(
@@ -126,7 +130,12 @@ class Autotuner:
                     )
                     for p in points
                 ]
+                # Without capture_failures a failing candidate raises, so
+                # every entry is a result: rank off the time column and
+                # build only the winner's row.
                 results = simulate_batch(bpoints)
+                times = results.column("time_s").tolist()
+                ranked = [(p, t, i) for i, (p, t) in enumerate(zip(points, times))]
             else:
                 evaluate = functools.partial(
                     evaluate_candidate,
@@ -140,13 +149,11 @@ class Autotuner:
                     evaluate, points, jobs=jobs, policy=policy,
                     capture_failures=policy is not None,
                 )
-            ranked: List[Tuple[TuningPoint, float, SimulationResult]] = []
-            dropped: List[Tuple[TuningPoint, TaskFailure]] = []
-            for point, res in zip(points, results):
-                if isinstance(res, TaskFailure):
-                    dropped.append((point, res))
-                else:
-                    ranked.append((point, res.time_s, res))
+                for i, (point, res) in enumerate(zip(points, results)):
+                    if isinstance(res, TaskFailure):
+                        dropped.append((point, res))
+                    else:
+                        ranked.append((point, res.time_s, i))
             counter("tune.candidates").inc(len(ranked))
             if sp is not None:
                 sp.set_attr("candidates", len(ranked))
@@ -167,7 +174,7 @@ class Autotuner:
         ranked.sort(key=lambda t: (t[1], t[0].label()))
         outcome = TuningOutcome(
             best=ranked[0][0],
-            best_result=ranked[0][2],
+            best_result=results[ranked[0][2]],
             ranking=tuple((p, t) for p, t, _ in ranked),
         )
         self._cache[key] = outcome

@@ -10,6 +10,9 @@ routes between the engines.
 
 import gc
 import struct
+from dataclasses import fields
+
+import numpy as np
 
 import pytest
 from hypothesis import given, settings
@@ -23,11 +26,21 @@ from repro.exec import (
     break_even_points,
     choose_dispatch,
     clear_cost_model,
+    microbatch_study_points,
     observed_cost,
     parallel_map,
     record_cost,
 )
-from repro.gpu import BatchPoint, platform, simulate, simulate_batch, study_platforms
+from repro.exec.workers import simulate_point
+from repro.gpu import (
+    BatchPoint,
+    TimingBreakdown,
+    Traffic,
+    platform,
+    simulate,
+    simulate_batch,
+    study_platforms,
+)
 from repro.resilience import FaultPlan, RetryPolicy, TaskFailure
 from repro.tuning.space import TuningSpace
 
@@ -372,6 +385,24 @@ def _mixed_chunk():
     return points
 
 
+#: Domains the flat int64 gather must not take: a float extent (valid
+#: for the scalar path) and a wrong arity.
+ODD_DOMAINS = ((64.0, 4, 4), (64, 4))
+
+
+def _odd_chunk():
+    """The mixed chunk plus points with a float and a 2-tuple domain."""
+    seven, thirteen = by_name("7pt").build(), by_name("13pt").build()
+    plat = platform("A100", "CUDA")
+    return _mixed_chunk() + [
+        BatchPoint(stencil=stencil, variant=variant, platform=plat,
+                   domain=domain, stencil_name=name)
+        for domain in ODD_DOMAINS
+        for name, stencil in (("7pt", seven), ("13pt", thirteen))
+        for variant in ("array", "bricks_codegen")
+    ]
+
+
 class TestColumnarFallback:
     """Points failing the columnar domain mask take the scalar route and
     must come out exactly as a scalar loop leaves them."""
@@ -470,6 +501,164 @@ class TestColumnarFallback:
             ]
             covered = sum(c.duration_s for c in chunk.children)
             assert covered >= 0.9 * chunk.duration_s
+
+    @pytest.mark.parametrize("chunk_size", [3, 1024])
+    @pytest.mark.parametrize("check", [False, True])
+    def test_odd_domains_capture_like_scalar(self, chunk_size, check):
+        # A float extent is valid for the scalar path; a 2-tuple is not.
+        points = _odd_chunk()
+        batch = simulate_batch(
+            points, capture_failures=True, check_invariants=check,
+            chunk_size=chunk_size,
+        )
+        scalar = parallel_map(
+            lambda p: _scalar(p, check), points, capture_failures=True
+        )
+        assert [type(b) for b in batch] == [type(s) for s in scalar]
+        assert batch == scalar
+        assert sum(isinstance(b, TaskFailure) for b in batch) == 4 * 4 + 1
+        floats = [b for p, b in zip(points, batch) if p.domain == ODD_DOMAINS[0]]
+        assert floats and all(type(b.domain[0]) is float for b in floats)
+
+    @pytest.mark.parametrize("domain", ODD_DOMAINS)
+    def test_odd_domain_raises_or_matches_like_scalar(self, registry, domain):
+        point = BatchPoint(
+            stencil=by_name("7pt").build(), variant="array",
+            platform=platform("A100", "CUDA"), domain=domain,
+        )
+        good = BatchPoint(
+            stencil=point.stencil, variant="array", platform=point.platform,
+        )
+        try:
+            expected = [_scalar(good), _scalar(point)]
+        except Exception as exc:
+            scalar_counts = _counters(registry)
+            obs.set_registry(obs.MetricsRegistry())
+            with pytest.raises(Exception) as batch_err:
+                simulate_batch([good, point], check_invariants=False)
+            assert type(batch_err.value) is type(exc)
+            assert str(batch_err.value) == str(exc)
+            assert _counters(obs.get_registry()) == scalar_counts
+        else:
+            batch = simulate_batch([good, point], check_invariants=False)
+            assert batch == expected
+
+
+def _matrix(domains=((128, 32, 32), (64, 8, 4))):
+    """Every study stencil x platform x variant, over ``domains``."""
+    return [
+        BatchPoint(stencil=by_name(name).build(), variant=variant,
+                   platform=plat, domain=domain, stencil_name=name)
+        for name in harness.ExperimentConfig().stencils
+        for plat in PLATFORMS
+        for variant in VARIANTS
+        for domain in domains
+    ]
+
+
+#: Every column a frame serves, with the row attribute it mirrors.
+FRAME_COLUMNS = {
+    "flops": lambda r: r.flops,
+    "time_s": lambda r: r.time_s,
+    **{f.name: (lambda r, n=f.name: getattr(r.traffic, n)) for f in fields(Traffic)},
+    **{f.name: (lambda r, n=f.name: getattr(r.timing, n))
+       for f in fields(TimingBreakdown)},
+}
+
+
+class TestStudyFrame:
+    """``simulate_batch`` returns a StudyFrame: columns plus lazily built,
+    cached rows that behave like the old eager list."""
+
+    @pytest.mark.parametrize("check", [False, True])
+    def test_columns_bit_equal_to_rows(self, check):
+        points = _matrix()
+        assert len({(p.stencil_name, p.platform.name, p.variant)
+                    for p in points}) == 6 * 5 * 3
+        frame = simulate_batch(points, check_invariants=check, chunk_size=64)
+        for name, attr in FRAME_COLUMNS.items():
+            column = frame.column(name)
+            assert column.shape == (len(points),), name
+            values = [attr(frame[i]) for i in range(len(frame))]
+            if column.dtype.kind == "f":
+                assert all(type(v) is float for v in values), name
+                assert [v.hex() for v in column.tolist()] == [
+                    v.hex() for v in values
+                ], name
+            else:
+                assert column.dtype == np.int64, name
+                assert all(type(v) is int for v in values), name
+                assert column.view(np.int64).tolist() == values, name
+        assert frame == [_scalar(p, check) for p in points]
+
+    def test_unknown_column_raises(self):
+        frame = simulate_batch(_matrix()[:3])
+        with pytest.raises(KeyError, match="time_s"):
+            frame.column("gflops")
+
+    def test_equality_against_sequences(self):
+        points = _matrix()[:40]
+        frame = simulate_batch(points, check_invariants=False, chunk_size=16)
+        rows = list(frame)
+        assert frame == rows and rows == frame
+        assert frame == tuple(rows) and tuple(rows) == frame
+        assert frame == simulate_batch(points, check_invariants=False)
+        assert frame != rows[:-1] and rows[:-1] != frame
+        assert frame != rows[::-1]
+        assert frame != "not a frame" and frame != 7
+        assert [_scalar(p) for p in points] == frame
+
+    def test_indexing(self):
+        points = _matrix()[:10]
+        frame = simulate_batch(points, check_invariants=False, chunk_size=4)
+        scalar = [_scalar(p) for p in points]
+        assert frame[-1] == scalar[-1] and frame[-1] is frame[9]
+        assert frame[-10] is frame[0]
+        assert isinstance(frame[2:5], list) and frame[2:5] == scalar[2:5]
+        assert frame[::-3] == scalar[::-3]
+        assert frame[7:2] == [] and frame[:] == scalar
+        assert frame[np.int64(3)] is frame[3]
+        for bad in (10, -11, 1 << 40):
+            with pytest.raises(IndexError):
+                frame[bad]
+        with pytest.raises(TypeError):
+            frame["0"]
+
+    def test_rows_are_built_once(self):
+        points = _matrix()[:20]
+        frame = simulate_batch(points, check_invariants=False)
+        first = frame[5]
+        assert frame[5] is first
+        rows = list(frame)
+        assert rows[5] is first
+        assert all(a is b for a, b in zip(rows, frame))
+        assert all(a is b for a, b in zip(rows, frame[:]))
+
+    @pytest.mark.parametrize("chunk_size", [3, 1024])
+    def test_failures_sit_at_their_input_indices(self, chunk_size):
+        points = _matrix()[:12] + _mixed_chunk() + _matrix()[12:24]
+        frame = simulate_batch(
+            points, capture_failures=True, check_invariants=False,
+            chunk_size=chunk_size,
+        )
+        scalar = parallel_map(_scalar, points, capture_failures=True)
+        failed = [i for i, s in enumerate(scalar) if isinstance(s, TaskFailure)]
+        assert failed
+        assert [i for i, r in enumerate(frame) if isinstance(r, TaskFailure)] == failed
+        assert frame == scalar
+        for i in failed:
+            assert frame.column("time_s")[i] == 0 and frame.column("flops")[i] == 0
+
+    def test_microbatch_returns_plain_lists(self):
+        items = [
+            (p.stencil_name, p.stencil, p.platform, p.variant, p.domain)
+            for p in _matrix()[:9]
+        ]
+        groups = [items[:4], items[4:5], items[5:]]
+        split = microbatch_study_points(groups, check_invariants=False)
+        assert [type(g) for g in split] == [list, list, list]
+        assert [len(g) for g in split] == [4, 1, 4]
+        assert split == [[simulate_point(item) for item in g] for g in groups]
 
 
 class TestDispatchDecision:

@@ -1,5 +1,6 @@
 """HTTP layer e2e: REST contract, byte-identity, 429 backpressure."""
 
+import http.client
 import json
 import urllib.error
 import urllib.request
@@ -151,6 +152,24 @@ class TestErrorContract:
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(req, timeout=5)
         assert err.value.code == 400
+
+    @pytest.mark.parametrize("length", ["abc", "-1"])
+    def test_bad_content_length_is_400(self, service, length):
+        # Once a dropped connection (``abc``) and a read that blocked
+        # until the client hung up (``-1``).
+        client, _ = service
+        host, port = client.base_url.rsplit("/", 1)[-1].split(":")
+        conn = http.client.HTTPConnection(host, int(port), timeout=5)
+        try:
+            conn.putrequest("POST", "/studies")
+            conn.putheader("Content-Length", length)
+            conn.endheaders()
+            response = conn.getresponse()
+            body = json.loads(response.read())
+        finally:
+            conn.close()
+        assert response.status == 400
+        assert "Content-Length" in body["error"]
 
     def test_unknown_job_is_404(self, service):
         client, _ = service

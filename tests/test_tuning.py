@@ -4,6 +4,7 @@ import pytest
 
 from repro import dsl, gpu
 from repro.errors import SimulationError
+from repro.exec import RetryPolicy
 from repro.tuning import Autotuner, TuningPoint, TuningSpace
 
 
@@ -83,3 +84,36 @@ class TestAutotuner:
         with pytest.raises(SimulationError, match="empty"):
             tuner.tune(dsl.by_name("7pt").build(), gpu.platform("A100", "CUDA"),
                        domain=(64, 64, 64))
+
+
+class TestBatchModeMatchesScalar:
+    """Batch mode ranks off the frame's ``time_s`` column and builds only
+    the winner's row; the outcome must be the scalar engine's exactly."""
+
+    SPACE = TuningSpace(i_extents=(32, 64), jk_extents=(4, 8), orderings=("lex",))
+
+    @pytest.mark.parametrize(
+        "name, arch, model",
+        [("7pt", "A100", "CUDA"), ("13pt", "MI250X", "HIP"),
+         ("27pt", "PVC", "SYCL"), ("125pt", "A100", "CUDA")],
+    )
+    def test_outcome_identical(self, name, arch, model):
+        stencil = dsl.by_name(name).build()
+        plat = gpu.platform(arch, model)
+        batch = Autotuner(space=self.SPACE).tune(
+            stencil, plat, domain=(128, 64, 64), stencil_name=name
+        )
+        # A retry policy forces the per-candidate scalar engine.
+        scalar = Autotuner(space=self.SPACE).tune(
+            stencil, plat, domain=(128, 64, 64), stencil_name=name,
+            policy=RetryPolicy(retries=0, backoff_s=0.0),
+        )
+        assert len(batch.ranking) > 1
+        assert batch.best == scalar.best
+        assert batch.ranking == scalar.ranking
+        assert [t.hex() for _, t in batch.ranking] == [
+            t.hex() for _, t in scalar.ranking
+        ]
+        assert batch.best_result == scalar.best_result
+        assert batch.best_time_s.hex() == scalar.best_time_s.hex()
+        assert batch == scalar
