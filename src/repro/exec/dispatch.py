@@ -325,9 +325,11 @@ def microbatch_study_points(
         )
     counter("exec.dispatch.microbatch.groups").inc(len(groups))
     counter("exec.dispatch.microbatch.points").inc(len(flat))
+    # Every row is read: build them a block at a time, then split.
+    rows = list(outcomes)
     split: List[List[Any]] = []
     start = 0
     for size in sizes:
-        split.append(outcomes[start:start + size])
+        split.append(rows[start:start + size])
         start += size
     return split

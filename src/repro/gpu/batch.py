@@ -37,14 +37,15 @@ only when they are read.  Each chunk of points runs three phases:
    is bit-identical to the scalar path by construction.  FLOPs are one
    exact ``ni*nj*nk*flops_per_point`` product per point.  Points on the
    scalar route run the same two formulas on Python numbers;
-3. **assemble** — with invariant checks off, every point columnar and
-   no ``on_result`` hook, the chunk's columns *are* its result: no row
-   is built.  Otherwise each row goes through
+3. **assemble** — with invariant checks off and every point columnar,
+   the chunk's columns *are* its result: no row is built (an
+   ``on_result`` hook reads the chunk's rows, which builds them from the
+   columns like any other access).  Otherwise each row goes through
    :func:`~repro.gpu.simulator.assemble`, the scalar path's own result +
    invariant-check step, in point order, and fills the frame's row
    cache up front (and the frame's columns are read off those rows).
 
-Rows built later, on access, split the columns back with
+Rows built from the columns split them back with
 ``ndarray.tolist()``, which hands back native Python ``int``/``float``
 objects, so even the *types* of every field match the oracle, and go
 through the same ``SimulationResult``/``Traffic``/``TimingBreakdown``
@@ -353,66 +354,101 @@ def _gather(configs: List[Any], gidx: np.ndarray) -> Any:
 
 def _evaluate(
     dom: np.ndarray, ntiles: np.ndarray, gidx: np.ndarray, table: _GroupTable
-) -> Dict[str, np.ndarray]:
+) -> Tuple[Dict[str, np.ndarray], Dict[str, str]]:
     """The result columns of the masked chunk points, one formula call
     each over gathered columns (see the module docstring for why that
-    makes the floats bit-identical to the scalar path)."""
+    makes the floats bit-identical to the scalar path).
+
+    Also returns the result fields the formulas pass through unchanged
+    from a config (occupancy, launch overhead), each with the ``_Group``
+    attribute path it came from: rows read those off the group, keeping
+    the config's own float objects as the scalar path does, rather than
+    one new float per point.
+    """
     ni, nj, nk = dom.T
-    traffic = traffic_terms(
-        _gather([g.traffic for g in table.groups], gidx), ni, nj, nk, ntiles
-    )
-    timing = timing_terms(
-        _gather([g.timing for g in table.groups], gidx), traffic, ntiles
-    )
+    configs = {
+        "traffic": _gather([g.traffic for g in table.groups], gidx),
+        "timing": _gather([g.timing for g in table.groups], gidx),
+    }
+    traffic = traffic_terms(configs["traffic"], ni, nj, nk, ntiles)
+    timing = timing_terms(configs["timing"], traffic, ntiles)
+    # The gathered configs are alive here, so their columns' ids are unique.
+    sources = {
+        id(getattr(config, f.name)): f"{part}.{f.name}"
+        for part, config in configs.items()
+        for f in fields(config)
+    }
     columns = {"flops": ni * nj * nk * table.column("flops_per_point", gidx, np.int64)}
-    # A field that is a single number (a helper patched to a constant,
-    # as in the mutation tests) stands for every point.
+    passthrough: Dict[str, str] = {}
     for terms in (traffic, timing):
         for f in fields(terms):
-            columns[f.name] = np.broadcast_to(getattr(terms, f.name), len(gidx))
-    return columns
+            value = getattr(terms, f.name)
+            if id(value) in sources:
+                passthrough[f.name] = sources[id(value)]
+            # A field that is a single number (a helper patched to a
+            # constant, as in the mutation tests) stands for every point.
+            columns[f.name] = np.broadcast_to(value, len(gidx))
+    return columns, passthrough
 
 
 def _split(
-    columns: Dict[str, np.ndarray], idx: Any
+    columns: Dict[str, np.ndarray],
+    idx: Any,
+    groups: List[_Group],
+    passthrough: Dict[str, str],
 ) -> Tuple[List[Traffic], List[TimingBreakdown], List[int]]:
     """The ``Traffic``/``TimingBreakdown`` instances and FLOP counts of
-    the points ``idx`` of ``columns``, as native Python numbers."""
+    the points ``idx`` of ``columns`` (whose groups are ``groups``), as
+    native Python numbers."""
 
-    def rows(cls: type, names: Tuple[str, ...]) -> List[Any]:
-        return list(map(cls, *(columns[name][idx].tolist() for name in names)))
+    def values(name: str) -> Any:
+        path = passthrough.get(name)
+        if path is not None:
+            return map(attrgetter(path), groups)
+        return columns[name][idx].tolist()
 
     return (
-        rows(Traffic, _TRAFFIC_FIELDS),
-        rows(TimingBreakdown, _TIMING_FIELDS),
+        list(map(Traffic, *map(values, _TRAFFIC_FIELDS))),
+        list(map(TimingBreakdown, *map(values, _TIMING_FIELDS))),
         columns["flops"][idx].tolist(),
     )
 
 
 def _exact_column(values: List[Any]) -> np.ndarray:
-    """One column of Python numbers, every value kept exactly: ``int64``
-    when all are ints inside it, ``float64`` when all are floats (or ints
-    a float holds exactly), else ``object``."""
+    """One column of Python numbers, each kept exactly and with its type:
+    ``int64`` when all are ints inside it, ``float64`` when all are
+    floats, else ``object`` (ints beside floats, as a float-extent domain
+    gives, or an int beyond ``int64``)."""
     kinds = set(map(type, values))
+    if kinds == {float}:
+        return np.array(values, dtype=np.float64)
     if kinds <= {int}:
         try:
             return np.array(values, dtype=np.int64)
         except OverflowError:
             pass
-    elif kinds <= {int, float} and all(
-        abs(v) <= 2**53 for v in values if type(v) is int
-    ):
-        return np.array(values, dtype=np.float64)
     return np.array(values, dtype=object)
 
 
 def _row_columns(rows: List[Any]) -> Dict[str, np.ndarray]:
-    """A chunk's columns read off its built rows; 0 at failed points."""
-    ok = [not isinstance(r, TaskFailure) for r in rows]
-    return {
-        name: _exact_column([get(r) if k else 0 for r, k in zip(rows, ok)])
-        for name, get in _COLUMNS.items()
-    }
+    """A chunk's columns read off its built rows; failed points read a
+    zero of the kind the built rows hold (``0.0`` beside floats)."""
+    built = [not isinstance(r, TaskFailure) for r in rows]
+    columns = {}
+    for name, get in _COLUMNS.items():
+        values = [get(r) if k else None for r, k in zip(rows, built)]
+        zero = 0.0 if {type(v) for v in values if v is not None} == {float} else 0
+        columns[name] = _exact_column([zero if v is None else v for v in values])
+    return columns
+
+
+def _concat(parts: List[np.ndarray]) -> np.ndarray:
+    """Chunk columns joined without changing any value's type: chunks
+    that disagree on ``dtype`` (ints beside floats or objects) join as an
+    ``object`` column of the native Python numbers."""
+    if len({part.dtype for part in parts}) > 1:
+        parts = [part.astype(object) for part in parts]
+    return np.concatenate(parts)
 
 
 class StudyFrame(SequenceABC):
@@ -427,10 +463,12 @@ class StudyFrame(SequenceABC):
     compares equal to any sequence holding equal entries in order.
 
     :meth:`column` reads one field for every point without building a
-    row.  Rows were already built (at batch time, through the checked
-    path) when invariant checks were on, an ``on_result`` hook was
-    given, or a chunk held a point off the columnar route (a failure, a
-    huge or non-``int`` domain); every other row is built on demand.
+    row.  Rows were already built at batch time through the checked
+    path when invariant checks were on or a chunk held a point off the
+    columnar route (a failure, a huge or non-``int`` domain), and from
+    the columns when an ``on_result`` hook read them; every other row is
+    built on demand.  The saving is in the rows nobody reads: a caller
+    that reads every row pays for every row.
     A frame is not safe to read from several threads at once: two
     threads building one row may each get their own copy.
     """
@@ -445,9 +483,14 @@ class StudyFrame(SequenceABC):
         domains: List[Any],
         names: List[str],
         rows: Optional[List[Any]] = None,
+        todo: Optional[np.ndarray] = None,
+        passthrough: Optional[Dict[str, str]] = None,
     ) -> None:
+        """``rows`` defaults to none built; given, ``todo`` marks the
+        entries still to build (default: none)."""
         n = len(gidx)
         self._columns = columns
+        self._passthrough = passthrough or {}
         for column in columns.values():
             column.flags.writeable = False
         self._gidx = gidx
@@ -459,11 +502,12 @@ class StudyFrame(SequenceABC):
             self._todo = np.ones(n, dtype=bool)
         else:
             self._rows = rows
-            self._todo = np.fromiter((r is None for r in rows), bool, n)
+            self._todo = np.zeros(n, dtype=bool) if todo is None else todo
 
     @classmethod
     def _join(cls, frames: List["StudyFrame"], groups: List[_Group]) -> "StudyFrame":
-        """One frame of the chunk frames, in order."""
+        """One frame of the chunk frames, in order; their columns move
+        into it one at a time, so two copies of all of them never live."""
         if len(frames) == 1:
             return frames[0]
         if not frames:
@@ -471,15 +515,17 @@ class StudyFrame(SequenceABC):
                 {name: np.empty(0) for name in _COLUMNS},
                 np.empty(0, dtype=np.intp), groups, [], [],
             )
-        lazy = all(f._todo.all() for f in frames)
+        # Every evaluated chunk passes the same fields through.
+        passthrough = next((f._passthrough for f in frames if f._todo.any()), {})
         return cls(
-            {name: np.concatenate([f._columns[name] for f in frames])
-             for name in _COLUMNS},
+            {name: _concat([f._columns.pop(name) for f in frames]) for name in _COLUMNS},
             np.concatenate([f._gidx for f in frames]),
             groups,
             list(chain.from_iterable(f._domains for f in frames)),
             list(chain.from_iterable(f._names for f in frames)),
-            None if lazy else list(chain.from_iterable(f._rows for f in frames)),
+            list(chain.from_iterable(f._rows for f in frames)),
+            np.concatenate([f._todo for f in frames]),
+            passthrough,
         )
 
     def __len__(self) -> int:
@@ -543,29 +589,42 @@ class StudyFrame(SequenceABC):
 
     def _build(self, lo: int, hi: int) -> None:
         """Build and cache the rows in ``[lo, hi)`` not built yet."""
-        idx = np.flatnonzero(self._todo[lo:hi])
-        if not len(idx):
-            return
-        idx += lo
-        ids = idx.tolist()
+        todo = self._todo[lo:hi]
+        if todo.all():
+            # The common case (iteration, a fresh slice): plain slices.
+            idx: Any = slice(lo, hi)
+            names, domains = self._names[idx], self._domains[idx]
+        else:
+            idx = np.flatnonzero(todo)
+            if not len(idx):
+                return
+            idx += lo
+            ids = idx.tolist()
+            names = list(map(self._names.__getitem__, ids))
+            domains = list(map(self._domains.__getitem__, ids))
         groups = list(map(self._groups.__getitem__, self._gidx[idx].tolist()))
         with _gc_paused():
-            traffics, timings, flops = _split(self._columns, idx)
-            built = map(
+            traffics, timings, flops = _split(
+                self._columns, idx, groups, self._passthrough
+            )
+            built = list(map(
                 SimulationResult,
                 map(attrgetter("platform"), groups),
                 map(attrgetter("variant"), groups),
-                map(self._names.__getitem__, ids),
-                map(self._domains.__getitem__, ids),
+                names,
+                domains,
                 flops,
                 traffics,
                 timings,
                 map(attrgetter("cost"), groups),
                 map(attrgetter("strategy"), groups),
-            )
-            rows = self._rows
-            for i, row in zip(ids, built):
-                rows[i] = row
+            ))
+            if isinstance(idx, slice):
+                self._rows[idx] = built
+            else:
+                rows = self._rows
+                for i, row in zip(ids, built):
+                    rows[i] = row
         self._todo[idx] = False
 
 
@@ -600,12 +659,8 @@ def _run_chunk(
     table: _GroupTable,
     validate: bool,
     capture: bool,
-    eager: bool,
 ) -> StudyFrame:
-    """One chunk: resolve and check, evaluate, assemble and count.
-
-    ``eager`` builds every row now (the ``on_result`` hook reads them).
-    """
+    """One chunk: resolve and check, evaluate, assemble and count."""
     n = len(chunk)
     errors: Dict[int, Exception] = {}
     with span("sweep.resolve"):
@@ -627,7 +682,9 @@ def _run_chunk(
 
     with span("sweep.evaluate"):
         sel = np.flatnonzero(ok)
-        columns = _evaluate(dom[sel], ntiles[sel], gidx[sel], table) if len(sel) else {}
+        columns, passthrough = (
+            _evaluate(dom[sel], ntiles[sel], gidx[sel], table) if len(sel) else ({}, {})
+        )
         scalar_rows: Dict[int, Tuple] = {}
         for i, nt in scalar.items():
             group = groups[i]
@@ -644,17 +701,23 @@ def _run_chunk(
         names = list(map(attrgetter("stencil_name"), chunk))
         if not all(names):
             names = [p.stencil_name or p.stencil.description() for p in chunk]
-        if len(sel) == n and not (validate or eager):
+        if len(sel) == n and not validate:
             per_group = np.bincount(gidx, minlength=len(table)).tolist()
             counter("simulate.calls").inc(n)
             counter("simulate.tiles").inc(sum(ntiles.tolist()))
             counter("codegen.vector_ops").inc(
                 sum(map(operator.mul, map(attrgetter("ops"), table.groups), per_group))
             )
-            return StudyFrame(columns, gidx, table.groups, domains, names)
+            return StudyFrame(
+                columns, gidx, table.groups, domains, names, passthrough=passthrough
+            )
         rows: List[Any] = [None] * n
         if len(sel):
-            evaluated = zip(*_split(columns, slice(None)), ntiles[sel].tolist())
+            sel_groups = list(map(groups.__getitem__, sel.tolist()))
+            evaluated = zip(
+                *_split(columns, slice(None), sel_groups, passthrough),
+                ntiles[sel].tolist(),
+            )
             for i, row in zip(sel.tolist(), evaluated):
                 rows[i] = row
         for i, row in scalar_rows.items():
@@ -761,12 +824,10 @@ def simulate_batch(
         for start in range(0, len(points), chunk_size):
             chunk = points[start:start + chunk_size]
             with _gc_paused(), span("sweep.chunk", n=len(chunk), offset=start):
-                frame = _run_chunk(
-                    chunk, table, validate, capture_failures, on_result is not None
-                )
+                frame = _run_chunk(chunk, table, validate, capture_failures)
             frames.append(frame)
             if on_result is not None:
-                for i, result in enumerate(frame._rows, start):
+                for i, result in enumerate(frame, start):
                     on_result(i, result)
         frame = StudyFrame._join(frames, table.groups)
         if sp is not None:

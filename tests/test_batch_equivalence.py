@@ -649,6 +649,32 @@ class TestStudyFrame:
         for i in failed:
             assert frame.column("time_s")[i] == 0 and frame.column("flops")[i] == 0
 
+    def test_float_domain_chunk_keeps_other_chunks_exact(self):
+        # The middle chunk holds a float-extent point, so its columns mix
+        # ints and floats; joining it must not turn the columnar chunks'
+        # ints (a FLOP count beyond 2**53 among them) into floats.
+        seven = by_name("7pt").build()
+        plat = platform("A100", "CUDA")
+        big = BatchPoint(stencil=seven, variant="array", platform=plat,
+                         domain=(64 * 1_000_003, 4 * 1_000_001, 8))
+        odd = BatchPoint(stencil=seven, variant="array", platform=plat,
+                         domain=(64.0, 4, 4))
+        columnar = _matrix()[:3] + [big]
+        points = columnar + [odd] + _matrix()[3:6] + columnar
+        assert simulate_batch([big]).column("flops").dtype == np.int64
+        assert _scalar(big).flops > 2**53
+        frame = simulate_batch(points, check_invariants=False, chunk_size=4)
+        scalar = [_scalar(p) for p in points]
+        columns = {name: frame.column(name).tolist() for name in FRAME_COLUMNS}
+        for i, (row, want) in enumerate(zip(frame, scalar)):
+            assert row == want and _bits(row) == _bits(want), i
+            for name, attr in FRAME_COLUMNS.items():
+                assert type(attr(row)) is type(attr(want)), (i, name)
+                assert type(columns[name][i]) is type(attr(want)), (i, name)
+                assert columns[name][i] == attr(want), (i, name)
+        assert type(frame[0].flops) is int and type(frame[4].flops) is float
+        assert frame[3].flops == frame[-1].flops == _scalar(big).flops
+
     def test_microbatch_returns_plain_lists(self):
         items = [
             (p.stencil_name, p.stencil, p.platform, p.variant, p.domain)
