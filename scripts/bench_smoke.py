@@ -1,6 +1,6 @@
 #!/usr/bin/env python
-"""Performance smoke gates: observability, the parallel sweep engine,
-the vectorized cache simulator, and (optionally) chaos testing.
+"""Performance smoke gates: observability, the vectorized cache
+simulator, the batch engine, and (optionally) chaos and serving.
 
 CI runs this after the unit tests.  Gates:
 
@@ -13,21 +13,17 @@ CI runs this after the unit tests.  Gates:
    path must produce *identical* miss counts to the scalar oracle on a
    ~1M-access per-element stencil trace, and must beat it by a healthy
    margin (hard floor 5x, target 10x).
-3. **parallel sweep** — the 90-point study must survive a parallel run
-   and match the serial result; the speedup gate scales with the
-   machine (>= 2x only where >= 4 CPUs and >= 4 jobs are available —
-   a 1-core container records honest numbers instead of failing).
-4. **batch engine** — ``dispatch="vectorized"`` must reproduce the
-   serial 90-point study bit-for-bit (results *and* counters), a cold
-   ~100k-point ``simulate_batch`` must beat a scalar baseline probe by
-   >= 100x with sampled spot-checks against the oracle, and
-   auto-dispatch with ``--jobs`` must never lose to serial.
-5. **chaos** (``--inject-faults [SEED]``) — the same sweep under a
-   seeded transient-fault plan (raised errors + corrupted payloads)
-   must complete via retries and stay bit-identical to the fault-free
+3. **batch engine** — ``dispatch="vectorized"`` must reproduce the
+   serial 90-point study bit-for-bit (results *and* counters), and a
+   cold ~100k-point ``simulate_batch`` must beat a scalar baseline
+   probe by >= 100x with sampled spot-checks against the oracle.
+4. **chaos** (``--inject-faults [SEED]``) — the vectorized sweep under
+   a seeded transient-fault plan (raised errors + corrupted payloads)
+   must route the faulted points through the scalar retry lane,
+   complete via retries and stay bit-identical to the fault-free
    serial run; the faulted run's span tree lands in ``--trace-out`` as
    a Chrome trace for inspection.
-6. **serve** (``--serve``) — request RTT p50/p95 through the study
+5. **serve** (``--serve``) — request RTT p50/p95 through the study
    service (submit → poll → fetch over real HTTP) vs direct
    ``run_study``: every served study must be byte-identical to the
    direct run, a duplicate pass must be answered entirely from the
@@ -42,7 +38,7 @@ warehouse and judged against its rolling baseline; the ``obs diff``
 verdict prints at the end as a *soft* gate (cross-run drift warns, only
 the hard in-run gates fail the build).
 
-The whole run is traced: if any gate crashes (e.g. a worker dies), the
+The whole run is traced: if any gate crashes, the
 error and the span tree at the time of the crash are printed to stderr
 and the exit status is 1 — a crash is never a silent pass.
 
@@ -235,55 +231,13 @@ def cachesim_bench(failures: list, doc: dict) -> None:
         )
 
 
-def _timed_study(parallel: int, **kw) -> tuple:
+def _timed_study(**kw) -> tuple:
     """One cold full sweep (memo + codegen memo cleared), timed."""
     harness.clear_study_cache()
     clear_codegen_memo()
     t0 = time.perf_counter()
-    study = harness.run_study(parallel=parallel, **kw)
+    study = harness.run_study(**kw)
     return study, time.perf_counter() - t0
-
-
-def sweep_bench(failures: list, doc: dict, jobs: int) -> None:
-    """Gate 3: serial vs parallel 90-point sweep, equal results."""
-    cpus = os.cpu_count() or 1
-    serial_study, serial_s = _timed_study(parallel=1)
-    # dispatch="pool" keeps this gate about the process-pool engine;
-    # auto-dispatch would route jobs > 1 to the vectorized engine, which
-    # has its own gate (batch_bench).
-    parallel_study, parallel_s = _timed_study(parallel=jobs, dispatch="pool")
-    harness.clear_study_cache()
-
-    points = len(serial_study)
-    speedup = serial_s / parallel_s if parallel_s > 0 else float("inf")
-    doc["sweep"] = {
-        "points": points,
-        "jobs": jobs,
-        "serial_s": round(serial_s, 3),
-        "parallel_s": round(parallel_s, 3),
-        "serial_points_per_s": round(points / serial_s, 1),
-        "parallel_points_per_s": round(points / parallel_s, 1),
-        "speedup": round(speedup, 2),
-    }
-    print(
-        f"sweep: {points} points, serial {serial_s:.2f} s, "
-        f"parallel(x{jobs}) {parallel_s:.2f} s ({speedup:.2f}x, {cpus} CPUs)"
-    )
-
-    if parallel_study.results != serial_study.results:
-        failures.append("parallel sweep results differ from serial sweep")
-    # The speedup gate only binds where the hardware can deliver it; a
-    # 1-core CI container still checks equivalence and records timings.
-    if cpus >= 4 and jobs >= 4 and speedup < 2.0:
-        failures.append(
-            f"parallel sweep speedup {speedup:.2f}x < 2.0x "
-            f"({jobs} jobs on {cpus} CPUs)"
-        )
-    elif cpus >= 2 and jobs >= 2 and speedup < 1.1:
-        failures.append(
-            f"parallel sweep speedup {speedup:.2f}x < 1.1x "
-            f"({jobs} jobs on {cpus} CPUs)"
-        )
 
 
 def _batch_matrix() -> list:
@@ -317,18 +271,16 @@ def _batch_matrix() -> list:
     ]
 
 
-def batch_bench(failures: list, doc: dict, jobs: int) -> None:
-    """Gate 5: the vectorized batch engine vs the scalar oracle.
+def batch_bench(failures: list, doc: dict) -> None:
+    """Gate 3: the vectorized batch engine vs the scalar oracle.
 
-    Four legs: (a) the 90-point study under ``dispatch="vectorized"``
+    Three legs: (a) the 90-point study under ``dispatch="vectorized"``
     must be identical to the serial oracle — results *and* the
     ``simulate.*`` counter deltas; (b) the vectorized study's own
     points/s; (c) a cold ~100k-point ``simulate_batch`` must beat a
     scalar baseline probe (same points, same ``check_invariants=False``)
     by >= 100x, with a sampled spot-check against scalar ``simulate()``
-    (building every row of its result is timed and recorded beside it);
-    (d) auto-dispatch with ``--jobs`` must be at least as fast as the
-    serial engine on the 90-point study.
+    (building every row of its result is timed and recorded beside it).
     """
     watched = ("simulate.calls", "simulate.tiles", "codegen.vector_ops")
 
@@ -337,12 +289,12 @@ def batch_bench(failures: list, doc: dict, jobs: int) -> None:
 
     # (a) + (b): serial oracle vs vectorized study, results + counters.
     before = snap()
-    oracle, serial_s = _timed_study(parallel=1)
+    oracle, serial_s = _timed_study()
     after = snap()
     serial_deltas = {k: after[k] - before[k] for k in watched}
 
     before = snap()
-    vec_study, vec_s = _timed_study(parallel=1, dispatch="vectorized")
+    vec_study, vec_s = _timed_study(dispatch="vectorized")
     after = snap()
     vec_deltas = {k: after[k] - before[k] for k in watched}
 
@@ -355,19 +307,7 @@ def batch_bench(failures: list, doc: dict, jobs: int) -> None:
             f"{vec_deltas} vs {serial_deltas}"
         )
 
-    # (d): auto-dispatch must never lose to serial on the study.  Timed
-    # before the 100k leg so its measurement isn't taken with the 100k
-    # leg's materialised rows (~300k result objects) live on the heap.
-    auto_study, auto_s = _timed_study(parallel=jobs)
     harness.clear_study_cache()
-    if auto_study.results != oracle.results:
-        failures.append("auto-dispatched study differs from the serial oracle")
-    auto_speedup = serial_s / auto_s if auto_s > 0 else float("inf")
-    if auto_speedup < 1.0:
-        failures.append(
-            f"auto-dispatch (jobs={jobs}) slower than serial: "
-            f"{auto_s:.2f} s vs {serial_s:.2f} s"
-        )
 
     # (c): 100k-point batch vs a scalar baseline probe.  Two reps, best
     # taken (standard min-of-N timing): the first rep pays one-off
@@ -438,27 +378,25 @@ def batch_bench(failures: list, doc: dict, jobs: int) -> None:
         "speedup_vs_serial": round(speedup, 1),
         "points_per_s_90": round(points / vec_s, 1),
         "vectorized_s_90": round(vec_s, 3),
-        "auto_jobs": jobs,
-        "auto_s": round(auto_s, 3),
-        "auto_speedup": round(auto_speedup, 2),
+        "serial_s_90": round(serial_s, 3),
     }
     print(
         f"batch: {len(matrix)} points in {batch_s:.2f} s "
         f"({batch_pts_per_s:.0f} pts/s, {speedup:.0f}x scalar; "
         f"every row built in {materialise_s:.2f} s more), "
-        f"90-point study {vec_s:.3f} s, auto(x{jobs}) {auto_speedup:.2f}x"
+        f"90-point study {vec_s:.3f} s (serial {serial_s:.3f} s)"
     )
 
 
-def chaos_bench(
-    failures: list, doc: dict, jobs: int, seed: int, trace_out: str
-) -> None:
+def chaos_bench(failures: list, doc: dict, seed: int, trace_out: str) -> None:
     """Gate 4: the sweep under injected transient faults must recover.
 
     A seeded :class:`FaultPlan` sprinkles transient raises and corrupt
-    payloads over the 90-point matrix; the retrying executor must still
-    deliver a complete study, bit-identical to the fault-free serial
-    baseline, with the retry counters accounting for every injection.
+    payloads over the 90-point matrix.  The sweep is pinned to the
+    vectorized engine, which routes every faulted point through the
+    scalar retry lane; the retrying executor must still deliver a
+    complete study, bit-identical to the fault-free serial baseline,
+    with the retry counters accounting for every injection.
     """
     config = harness.ExperimentConfig()
     plan = FaultPlan.seeded(
@@ -469,22 +407,24 @@ def chaos_bench(
     )
     policy = RetryPolicy(retries=3, backoff_s=0.01)
 
-    clean_study, _ = _timed_study(parallel=1)
+    clean_study, _ = _timed_study()
 
     retries_before = _counter_value("exec.retries")
+    routed_before = _counter_value("exec.dispatch.scalar_routed_points")
     roots_before = len(obs.get_tracer().roots())
     chaotic_study, chaos_s = _timed_study(
-        parallel=jobs, policy=policy, fault_plan=plan
+        policy=policy, fault_plan=plan, dispatch="vectorized"
     )
     harness.clear_study_cache()
     retries = _counter_value("exec.retries") - retries_before
+    routed = _counter_value("exec.dispatch.scalar_routed_points") - routed_before
 
     doc["chaos"] = {
         "seed": seed,
-        "jobs": jobs,
         "injected_raise": plan.count("raise"),
         "injected_corrupt": plan.count("corrupt"),
         "retries": retries,
+        "scalar_routed_points": routed,
         "failed_points": len(chaotic_study.failed),
         "chaos_s": round(chaos_s, 3),
     }
@@ -508,6 +448,11 @@ def chaos_bench(
         failures.append(
             "chaotic sweep results differ from the fault-free serial sweep"
         )
+    if len(plan) and routed < len(plan):
+        failures.append(
+            f"only {routed} points took the scalar retry lane for "
+            f"{len(plan)} injected faults"
+        )
     if len(plan) and retries < len(plan):
         failures.append(
             f"only {retries} retries recorded for {len(plan)} injected "
@@ -528,7 +473,7 @@ def _quantile_ms(samples_s: list, q: float) -> float:
 
 
 def serve_bench(failures: list, doc: dict) -> None:
-    """Gate 6 (``--serve``): service RTT vs direct ``run_study``.
+    """Gate 5 (``--serve``): service RTT vs direct ``run_study``.
 
     Boots the study server in-process on a free port and times
     ``SERVE_REQUESTS`` distinct small studies three ways: direct
@@ -656,19 +601,6 @@ def _gate_results(doc: dict) -> dict:
         gates["cachesim.vectorized_accesses_per_s"] = (
             float(doc["cachesim"]["vectorized_accesses_per_s"]), True,
         )
-    if "sweep" in doc:
-        sweep = doc["sweep"]
-        cpus = doc.get("cpu_count", 1)
-        binding = cpus >= 4 and sweep["jobs"] >= 4
-        gates["sweep.speedup"] = (
-            sweep["speedup"], sweep["speedup"] >= 2.0 or not binding,
-        )
-        gates["sweep.parallel_points_per_s"] = (
-            sweep["parallel_points_per_s"], True,
-        )
-        gates["sweep.serial_points_per_s"] = (
-            sweep["serial_points_per_s"], True,
-        )
     if "batch" in doc:
         batch = doc["batch"]
         gates["batch.speedup_vs_serial"] = (
@@ -679,9 +611,6 @@ def _gate_results(doc: dict) -> dict:
             float(batch["points_per_s_100k"]), True,
         )
         gates["batch.points_per_s_90"] = (batch["points_per_s_90"], True)
-        gates["batch.auto_speedup"] = (
-            batch["auto_speedup"], batch["auto_speedup"] >= 1.0,
-        )
     if "serve" in doc:
         serve = doc["serve"]
         gates["serve.rtt_p50_ms"] = (serve["rtt_p50_ms"], True)
@@ -714,8 +643,7 @@ def record_telemetry(
     hard floor, the warehouse diff is the trend alarm (CI's dedicated
     telemetry job turns it into a hard check on a controlled history).
     """
-    config = {"jobs": doc.get("sweep", {}).get("jobs"),
-              "chaos": "chaos" in doc, "serve": "serve" in doc}
+    config = {"chaos": "chaos" in doc, "serve": "serve" in doc}
     config_hash = hashlib.sha256(
         json.dumps(config, sort_keys=True).encode()
     ).hexdigest()[:16]
@@ -779,10 +707,6 @@ def _run_gate(name: str, failures: list, fn, *args) -> None:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
-        "--jobs", type=int, default=4,
-        help="worker processes for the parallel sweep leg (default 4)",
-    )
-    parser.add_argument(
         "--out", default="BENCH_sweep.json",
         help="where to write the benchmark record (default BENCH_sweep.json)",
     )
@@ -816,8 +740,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     # Every simulate() in the gates asserts the physical-sanity
-    # invariants of repro.validate (exported, so worker processes
-    # inherit it): a model regression fails the gate loudly instead of
+    # invariants of repro.validate (exported, so the serve gate's
+    # workers inherit it): a model regression fails the gate loudly instead of
     # shipping insane numbers into the benchmark record.
     os.environ.setdefault("REPRO_VALIDATE", "1")
 
@@ -831,12 +755,11 @@ def main(argv=None) -> int:
 
     _run_gate("observability", failures, obs_gate)
     _run_gate("cachesim", failures, cachesim_bench, doc)
-    _run_gate("sweep", failures, sweep_bench, doc, args.jobs)
-    _run_gate("batch", failures, batch_bench, doc, args.jobs)
+    _run_gate("batch", failures, batch_bench, doc)
     if args.inject_faults is not None:
         _run_gate(
-            "chaos", failures, chaos_bench, doc, args.jobs,
-            args.inject_faults, args.trace_out,
+            "chaos", failures, chaos_bench, doc, args.inject_faults,
+            args.trace_out,
         )
     if args.serve:
         _run_gate("serve", failures, serve_bench, doc)
@@ -863,10 +786,7 @@ def main(argv=None) -> int:
         for f in failures:
             print(f"  - {f}")
         return 1
-    print(
-        "\nperformance gate OK: obs spans, cachesim parity, sweep parity, "
-        "batch parity"
-    )
+    print("\nperformance gate OK: obs spans, cachesim parity, batch parity")
     return 0
 
 

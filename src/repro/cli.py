@@ -42,11 +42,9 @@ artifact (Tables 2–5, Figure 3–7 series, EXPERIMENTS.md, drift vs the
 golden baseline); with ``--results-db`` it renders from the store's
 reconstruction, byte-identical to the direct path.
 
-Sweeps and tuning searches accept ``--jobs N`` (worker processes;
-``$REPRO_JOBS`` supplies a default, 0 means one per CPU) and the
-sweep-rendering commands accept ``--cache-dir [DIR]`` to persist and
-reuse study results across invocations (``$REPRO_CACHE_DIR`` supplies a
-default directory).
+The sweep-rendering commands accept ``--cache-dir [DIR]`` to persist
+and reuse study results across invocations (``$REPRO_CACHE_DIR``
+supplies a default directory).
 
 Fault tolerance (see :mod:`repro.resilience`): ``--retries N`` and
 ``--task-timeout SECONDS`` configure the retry policy, ``--resume``
@@ -120,7 +118,6 @@ def _cached_study(args):
             os.environ.get(harness.CACHE_DIR_ENV) or harness.default_cache_dir()
         )
     return harness.cached_study(
-        parallel=args.jobs,
         cache_dir=cache_dir,
         retry_policy=_retry_policy(args),
         fault_plan=_fault_plan(args),
@@ -299,7 +296,7 @@ def _tune(args) -> int:
     case = by_name(args.stencil)
     plat = platform(args.arch, args.model)
     outcome = Autotuner().tune(
-        case.build(), plat, stencil_name=case.name, jobs=args.jobs,
+        case.build(), plat, stencil_name=case.name,
         policy=_retry_policy(args),
     )
     print(f"best configuration for {case.name} on {plat.name}:")
@@ -371,7 +368,7 @@ def _config_hash(args: argparse.Namespace) -> str:
 
     The warehouse groups baseline runs by this hash, so two runs compare
     only when every knob that could move the numbers (subcommand inputs,
-    job count, cache/retry/fault settings) is identical.
+    dispatch, cache/retry/fault settings) is identical.
     """
     payload = {
         k: v
@@ -535,7 +532,6 @@ def _serve(args) -> int:
         queue_limit=args.queue_limit,
         workers=args.workers,
         batch_window=args.batch_window,
-        jobs=args.jobs,
         journal=args.journal,
         backend=args.backend,
         job_deadline_s=args.job_deadline,
@@ -704,15 +700,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="trace export format (chrome loads in chrome://tracing)",
     )
     common.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="worker processes for sweeps and tuning (default: $REPRO_JOBS "
-        "or serial; 0 = one per CPU)",
-    )
-    common.add_argument(
         "--dispatch", default=None, choices=DISPATCH_MODES,
-        help="force the sweep execution engine (default: auto — "
-        "vectorized batch for large/parallel sweeps, serial otherwise; "
-        "pool = per-point worker processes)",
+        help="sweep execution engine (default: serial; vectorized = "
+        "the batch engine)",
     )
     common.add_argument(
         "--cache-dir", nargs="?", const=harness.default_cache_dir(),
@@ -864,7 +854,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument(
         "metric",
         help="measurement name, e.g. span.run_study.total_s, "
-        "run.duration_s, gate.sweep.speedup",
+        "run.duration_s, gate.batch.speedup_vs_serial",
     )
     q.add_argument(
         "--window", type=int, default=obs.DEFAULT_WINDOW, metavar="N",

@@ -50,7 +50,7 @@ class ValidationError(ReproError):
 
 
 class ExecutionError(ReproError):
-    """Parallel execution engine misuse (bad job count, broken worker)."""
+    """Execution engine misuse (unknown dispatch mode, bad fault plan, lock misuse)."""
 
 
 class ResultStoreError(ReproError):

@@ -1,9 +1,9 @@
-"""``repro.exec`` — the parallel execution engine.
+"""``repro.exec`` — the study execution engines.
 
-A chunked process-pool map (:func:`parallel_map`) with deterministic
-result merge and worker-side tracer/metric capture, plus the
-module-level worker functions the sweep and tuner dispatch.  Serial
-execution (``jobs <= 1``, the default) bypasses the pool entirely.
+An in-process map (:func:`map_items`) with retry handling and failure
+capture, the batch-vectorized study map (:func:`map_study_points`) and
+the serving layer's micro-batch primitive, plus the module-level
+worker functions the sweep and the tuner run per point.
 
 Fault tolerance — retries, per-task timeouts, graceful degradation,
 and fault injection — comes from :mod:`repro.resilience`; the policy
@@ -12,22 +12,9 @@ and failure types are re-exported here for convenience.
 
 from repro.exec.dispatch import (
     DISPATCH_MODES,
-    VECTORIZE_MIN_POINTS,
-    DispatchDecision,
-    break_even_points,
-    choose_dispatch,
-    clear_cost_model,
+    map_items,
     map_study_points,
     microbatch_study_points,
-    observed_cost,
-    record_cost,
-)
-from repro.exec.pool import (
-    JOBS_ENV,
-    capture_counters,
-    merge_observations,
-    parallel_map,
-    resolve_jobs,
 )
 from repro.exec.workers import (
     StudyItem,
@@ -40,26 +27,15 @@ from repro.resilience import FaultPlan, FaultSpec, RetryPolicy, TaskFailure
 
 __all__ = [
     "DISPATCH_MODES",
-    "JOBS_ENV",
-    "VECTORIZE_MIN_POINTS",
-    "DispatchDecision",
     "FaultPlan",
     "FaultSpec",
     "RetryPolicy",
     "StudyItem",
     "TaskFailure",
-    "break_even_points",
-    "capture_counters",
-    "choose_dispatch",
-    "clear_cost_model",
     "evaluate_candidate",
+    "map_items",
     "map_study_points",
-    "merge_observations",
     "microbatch_study_points",
-    "observed_cost",
-    "parallel_map",
-    "record_cost",
-    "resolve_jobs",
     "simulate_point",
     "study_item_key",
     "validate_simulation",

@@ -1,16 +1,11 @@
-"""Module-level worker functions for the process-pool engine.
+"""Module-level worker functions the study and the tuner run per point.
 
-Pool tasks are pickled by reference, so the functions the sweep and the
-tuner dispatch must live at module scope.  Each worker opens the same
-spans the serial code path does (``study.point`` / ``tune.candidate``),
-so a parallel run's adopted trace is indistinguishable from a serial
-one.
-
-Work items carry the actual :class:`~repro.dsl.stencil.Stencil` and
+Each opens the span the scalar code path records per point
+(``study.point`` / ``tune.candidate``), and the supervised serving
+workers pickle study items across a process boundary, so work items
+carry the actual :class:`~repro.dsl.stencil.Stencil` and
 :class:`~repro.gpu.progmodel.Platform` objects (both are small frozen
-dataclasses that pickle in well under 2 KB), so workers never have to
-rebuild state from names and serial/parallel runs simulate *the same*
-inputs.
+dataclasses) and never rebuild state from names.
 """
 
 from __future__ import annotations

@@ -67,14 +67,14 @@ span per chunk with ``sweep.resolve``/``sweep.evaluate``/
 (``simulate.calls``, ``simulate.tiles``, ``codegen.vector_ops``, and
 ``simulate.invariant_violations`` under ``REPRO_VALIDATE``) are bumped
 by exactly the amounts a scalar loop over the same points would bump
-them.  Per-point ``study.point``/``simulate`` spans are a scalar/pool
+them.  Per-point ``study.point``/``simulate`` spans are a scalar-loop
 feature — at 100k points they *are* the overhead this module removes.
 
 Failure semantics mirror the resilient scalar engine: with
 ``capture_failures=True`` a point whose resolution, domain check or
 invariant check fails degrades into the same
 :class:`~repro.resilience.TaskFailure` record (same ``error_type``/
-``message``/``attempts``) that ``parallel_map(..., capture_failures=True)``
+``message``/``attempts``) that ``map_items(..., capture_failures=True)``
 would produce for it; without it, the error of the *earliest* failing
 point raises, after the counters of the points a scalar loop would have
 completed first.
@@ -106,12 +106,13 @@ from repro.gpu.traffic import (
     Traffic,
     TrafficConfig,
     check_domain,
+    domain_shape,
     traffic_config,
     traffic_terms,
 )
 from repro.obs import counter, gauge, span
 from repro.resilience.policy import TaskFailure
-from repro.util import ceil_div, dims_to_shape
+from repro.util import ceil_div
 
 __all__ = ["DEFAULT_CHUNK", "BatchPoint", "StudyFrame", "simulate_batch"]
 
@@ -291,7 +292,7 @@ class _GroupTable:
 
 def _plain(domain: Any) -> bool:
     """Three Python ints small enough for the columns."""
-    return len(domain) == 3 and all(
+    return isinstance(domain, (tuple, list)) and len(domain) == 3 and all(
         type(e) is int and abs(e) < _INT64_SAFE for e in domain
     )
 
@@ -675,7 +676,7 @@ def _run_chunk(
             if i not in errors:
                 try:
                     scalar[i] = check_domain(
-                        dims_to_shape(domains[i]), groups[i].tile_shape
+                        domain_shape(domains[i]), groups[i].tile_shape
                     )
                 except Exception as exc:
                     errors[i] = exc

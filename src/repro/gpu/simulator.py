@@ -35,9 +35,8 @@ from repro.dsl.stencil import Stencil
 from repro.errors import SimulationError, ValidationError
 from repro.gpu.progmodel import VARIANTS, Platform
 from repro.gpu.timing import TimingBreakdown, kernel_time
-from repro.gpu.traffic import Traffic, check_domain, estimate_traffic
+from repro.gpu.traffic import Traffic, check_domain, domain_shape, estimate_traffic
 from repro.obs import counter, span
-from repro.util import dims_to_shape
 
 #: Variant -> (data layout, codegen strategy).
 VARIANT_CONFIG = {
@@ -181,6 +180,7 @@ def simulate(
     gates export.
     """
     layout, strategy, dims, vl = resolve(variant, platform, dims, vector_length)
+    domain_np = domain_shape(domain)
     name = stencil_name or stencil.description()
     with span(
         "simulate",
@@ -194,7 +194,6 @@ def simulate(
         with span("cost"):
             cost = cost_of(program)
         vp = platform.profile.variant(variant)
-        domain_np = dims_to_shape(domain)
         ntiles = check_domain(domain_np, dims.shape)
         with span("traffic", layout=layout):
             traffic = estimate_traffic(

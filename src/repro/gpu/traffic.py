@@ -38,7 +38,7 @@ from repro.errors import SimulationError
 from repro.gpu.arch import GPUArchitecture
 from repro.gpu.progmodel import ModelProfile, VariantProfile
 from repro.obs import get_tracer
-from repro.util import ceil_div, prod
+from repro.util import ceil_div, dims_to_shape, prod
 
 LAYOUTS = ("array", "brick")
 
@@ -81,6 +81,17 @@ class TrafficConfig:
     load_sectors: int
     store_sectors: int
     sector_bytes: int
+
+
+def domain_shape(domain: Any) -> Tuple[Any, ...]:
+    """``domain`` (dimension order) as a NumPy-order shape.
+
+    Raises :class:`SimulationError` unless it is a tuple or list, so a
+    missing domain fails like any other invalid one.
+    """
+    if not isinstance(domain, (tuple, list)):
+        raise SimulationError(f"domain {domain!r} is not a tuple of extents")
+    return dims_to_shape(domain)
 
 
 def check_domain(

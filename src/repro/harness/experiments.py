@@ -23,13 +23,13 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.dsl.shapes import TABLE2, by_name
 from repro.dsl.stencil import Stencil
-from repro.errors import MetricError
+from repro.errors import ExecutionError, MetricError
 from repro.exec import (
+    DISPATCH_MODES,
     RetryPolicy,
     TaskFailure,
-    choose_dispatch,
+    map_items,
     map_study_points,
-    parallel_map,
     simulate_point,
     study_item_key,
     validate_simulation,
@@ -59,13 +59,21 @@ class ExperimentConfig:
 
     ``platform_filter`` restricts the sweep to a subset of the paper's
     five platform columns (by name, in the given order); empty means
-    all of them.
+    all of them.  A name may appear once per axis: a repeat would sweep
+    its points again only to collapse them onto the same result keys.
     """
 
     stencils: Tuple[str, ...] = STENCIL_NAMES
     variants: Tuple[str, ...] = VARIANTS
     domain: Tuple[int, int, int] = (512, 512, 512)
     platform_filter: Tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        for axis in ("stencils", "variants", "platform_filter"):
+            names = getattr(self, axis)
+            repeated = sorted({n for n in names if names.count(n) > 1})
+            if repeated:
+                raise MetricError(f"config {axis!r} repeats {repeated}")
 
     def platforms(self) -> Tuple[Platform, ...]:
         plats = study_platforms()
@@ -292,7 +300,6 @@ def _resolve_cache_dir(cache_dir: Optional[str]) -> Optional[str]:
 
 def run_study(
     config: ExperimentConfig | None = None,
-    parallel: Optional[int] = None,
     *,
     policy: Optional[RetryPolicy] = None,
     fault_plan: Optional[FaultPlan] = None,
@@ -304,20 +311,13 @@ def run_study(
 ) -> StudyResults:
     """Simulate the full matrix; deterministic, a few seconds of work.
 
-    ``parallel`` is the worker-process count for the sweep (``None``
-    consults ``$REPRO_JOBS``; ``<= 1`` runs serially in-process; ``0``
-    means one worker per CPU).  Results and counters are identical at
-    any job count and in any dispatch mode; see below for the trace.
-
-    ``dispatch`` pins the execution engine (``"serial"`` |
-    ``"vectorized"`` | ``"pool"``); ``None`` lets
-    :func:`repro.exec.choose_dispatch` pick — small single-job sweeps
-    stay serial (keeping the per-point span tree), anything larger or
-    parallel goes through the batch-vectorized engine
-    (:func:`repro.gpu.simulate_batch`), which is bit-identical to the
-    scalar path and orders of magnitude faster per point.  Pool runs
-    trace per-point spans adopted from workers; vectorized runs trace a
-    ``sweep.batch`` span with per-chunk children instead.
+    The sweep runs serially in-process, one ``study.point`` span per
+    point.  ``dispatch="vectorized"`` pins the batch engine
+    (:func:`repro.gpu.simulate_batch`) instead, which is bit-identical
+    to the scalar path and traces a ``sweep.batch`` span with per-chunk
+    children; ``None`` and ``"serial"`` mean the serial loop.  Results
+    and counters are identical in either mode; the choice is counted as
+    ``exec.dispatch.<mode>``.
 
     Fault tolerance:
 
@@ -377,7 +377,12 @@ def run_study(
     pending = [it for it in items if study_item_key(it) not in done]
     pending_keys = [study_item_key(it) for it in pending]
     policy = (policy or RetryPolicy()).with_validate(validate_simulation)
-    decision = choose_dispatch(len(pending), parallel, forced=dispatch)
+    mode = dispatch or "serial"
+    if mode not in DISPATCH_MODES:
+        raise ExecutionError(
+            f"unknown dispatch mode '{mode}'; known: {DISPATCH_MODES}"
+        )
+    counter(f"exec.dispatch.{mode}").inc()
 
     on_result = None
     if cache_dir:
@@ -398,12 +403,11 @@ def run_study(
     with span(
         "run_study",
         points=len(items),
-        jobs=decision.jobs,
         resumed=len(done),
-        dispatch=decision.mode,
+        dispatch=mode,
     ) as sp:
         study.results.update(done)
-        if decision.mode == "vectorized":
+        if mode == "vectorized":
             outcomes = map_study_points(
                 pending,
                 policy=policy,
@@ -416,16 +420,12 @@ def run_study(
                 if fault_plan is None
                 else fault_plan.wrap(simulate_point, key_fn=study_item_key)
             )
-            outcomes = parallel_map(
+            outcomes = map_items(
                 fn,
                 pending,
-                jobs=1 if decision.mode == "serial" else decision.jobs,
                 policy=policy,
                 capture_failures=True,
                 on_result=on_result,
-                # A forced pool must actually pool (benchmarks pin it);
-                # an auto choice keeps the engine's break-even fallback.
-                auto_fallback=dispatch != "pool",
             )
         for key, outcome in zip(pending_keys, outcomes):
             if isinstance(outcome, TaskFailure):
@@ -496,9 +496,8 @@ _STUDY_CACHE: Dict[ExperimentConfig, StudyResults] = {}
 
 def cached_study(
     config: ExperimentConfig | None = None,
-    parallel: Optional[int] = None,
-    cache_dir: Optional[str] = None,
     *,
+    cache_dir: Optional[str] = None,
     retry_policy: Optional[RetryPolicy] = None,
     fault_plan: Optional[FaultPlan] = None,
     resume: bool = False,
@@ -554,7 +553,6 @@ def cached_study(
             if study is None:
                 study = run_study(
                     config,
-                    parallel=parallel,
                     policy=retry_policy,
                     fault_plan=fault_plan,
                     cache_dir=cache_dir,

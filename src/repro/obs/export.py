@@ -58,7 +58,7 @@ def spans_from_dicts(records: Iterable[Dict[str, Any]]) -> List[Span]:
     ``parent_id`` and the root spans are returned in record order.
     Records whose parent is absent from the batch become roots
     themselves (a worker ships only the subtree it recorded).  Used by
-    the parallel execution engine to rehydrate worker traces before
+    the serving layer's supervisor to rehydrate worker traces before
     :meth:`~repro.obs.trace.Tracer.adopt` grafts them into the parent.
     """
     spans: Dict[int, Span] = {}
@@ -105,7 +105,7 @@ def _chrome_event(span: Span) -> Dict[str, Any]:
     # "X" (complete) events carry start + duration in microseconds.
     # ``pid``/``tid`` come from the process/thread that recorded the
     # span: spans adopted from worker processes (``Tracer.adopt``) keep
-    # their worker pid, so a parallel sweep renders as one track per
+    # their worker pid, so supervised serve jobs render as one track per
     # worker in chrome://tracing instead of one interleaved thread.
     args = {k: str(v) for k, v in span.attrs.items()}
     args["span_id"] = str(span.span_id)

@@ -1,14 +1,13 @@
 """Span profiling: self-time aggregation and folded-stack export.
 
 A span's *total* time includes everything nested inside it, so totals
-alone cannot answer the ROADMAP's standing question — "is the pool's
-dispatch overhead eating the tiny per-point analytic cost?".  The
-profiler computes **self time** (a span's duration minus its children's
-durations, clamped at zero) and aggregates it by span name over one run
-or a whole history window, which turns that diagnosis into a queryable
-fact: the ``exec.parallel_map`` row's self-time *is* the engine's
-chunk/pickle/merge overhead, directly comparable against the
-``simulate`` row's per-point work.
+alone cannot say whether an engine's own overhead eats the tiny
+per-point analytic cost.  The profiler computes **self time** (a span's
+duration minus its children's durations, clamped at zero) and
+aggregates it by span name over one run or a whole history window,
+which turns that diagnosis into a queryable fact: the ``exec.map``
+row's self-time *is* the study loop's overhead, directly comparable
+against the ``simulate`` row's per-point work.
 
 Two outputs:
 

@@ -17,7 +17,7 @@ Each watched metric declares its direction and tolerance in a
 
 in the *bad* direction (1.4826 converts a MAD into a Gaussian-sigma
 equivalent).  Defaults are deliberately generous — CI boxes are noisy,
-and the regressions worth gating on (the pool running at 0.75x of
+and the regressions worth gating on (an engine running at 0.75x of
 serial, say) are way outside a 50% band — so a ``obs diff`` failure
 means something real moved.
 """
@@ -97,7 +97,7 @@ class MetricSpec:
 DEFAULT_SPECS: Tuple[MetricSpec, ...] = (
     MetricSpec("span.run_study.total_s", "lower", 0.75, floor=0.05),
     MetricSpec("span.simulate.total_s", "lower", 0.75, floor=0.05),
-    MetricSpec("span.exec.parallel_map.total_s", "lower", 0.75, floor=0.05),
+    MetricSpec("span.exec.map.total_s", "lower", 0.75, floor=0.05),
     MetricSpec("span.tune.search.total_s", "lower", 0.75, floor=0.05),
     MetricSpec("run.duration_s", "lower", 0.75, floor=0.25),
     MetricSpec("counter.simulate.calls", "equal", 0.0),
@@ -105,15 +105,12 @@ DEFAULT_SPECS: Tuple[MetricSpec, ...] = (
     MetricSpec("counter.exec.failed_points", "lower", 0.0),
     MetricSpec("counter.simulate.invariant_violations", "lower", 0.0),
     MetricSpec("run.failed_points", "lower", 0.0),
-    MetricSpec("gate.sweep.speedup", "higher", 0.5, floor=0.15),
-    MetricSpec("gate.sweep.parallel_points_per_s", "higher", 0.5, floor=5.0),
     MetricSpec("gate.cachesim.speedup", "higher", 0.5, floor=1.0),
     # Batch engine: vectorized throughput must stay >= 100x serial at
-    # the 100k-point scale, and auto-dispatch must never lose to serial.
+    # the 100k-point scale.
     MetricSpec("gate.batch.speedup_vs_serial", "higher", 0.5, floor=100.0),
     MetricSpec("gate.batch.points_per_s_100k", "higher", 0.5, floor=1000.0),
     MetricSpec("gate.batch.points_per_s_90", "higher", 0.5, floor=50.0),
-    MetricSpec("gate.batch.auto_speedup", "higher", 0.5, floor=1.0),
     # Serving layer: request RTT through the service must not balloon
     # (the cold path carries poll latency, hence the wide floor), dedup
     # answers must stay near-free and complete, and job errors must not

@@ -193,9 +193,9 @@ class Tracer:
     def adopt(self, root: Span) -> Span:
         """Graft a finished span tree into this tracer's record.
 
-        Used by the parallel execution engine: worker processes trace
-        into their own tracer, ship the finished trees back as flat
-        dicts, and the parent adopts each rebuilt root here.  Span ids
+        Used by the serving layer's supervised workers: each worker
+        process traces into its own tracer, ships the finished trees
+        back as flat dicts, and the parent adopts each rebuilt root here.  Span ids
         are reassigned from this tracer's sequence (worker ids would
         collide with locally recorded spans), and the tree is attached
         under the calling thread's innermost open span — so adopted

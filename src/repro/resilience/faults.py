@@ -4,8 +4,8 @@ A :class:`FaultPlan` names which tasks misbehave and how — raise a
 transient error, hang past a deadline, return a corrupted payload, or
 deliver a keyboard interrupt — keyed by a stable per-task key (for the
 study sweep, the ``(stencil, platform, variant)`` triple).  Plans are
-plain frozen data: the same plan produces the same fault sequence in a
-serial run, a parallel run, and across processes, which is what makes
+plain frozen data: the same plan produces the same fault sequence in
+every dispatch mode and across processes, which is what makes
 the chaos tests (and ``--inject-faults``) reproducible.
 
 :meth:`FaultPlan.seeded` draws faults pseudo-randomly but
@@ -43,8 +43,8 @@ class CorruptPayload:
     """The poison value a ``corrupt`` fault returns instead of a result.
 
     Fails any type-based result validation (it is not a
-    ``SimulationResult``), and is picklable so it can cross the
-    process-pool boundary when no validator is installed.
+    ``SimulationResult``), and is picklable so it can cross a process
+    boundary when no validator is installed.
     """
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -151,10 +151,9 @@ class FaultyFunction:
     """Callable wrapper that sabotages planned attempts of ``fn``.
 
     Attempt numbers are counted per task key within this instance; the
-    executor retries a task wherever it first ran (in-process, or in
-    the worker owning its chunk), so all attempts of one task see the
-    same counter and the injected failure sequence is identical in
-    serial and parallel runs.
+    executor retries a task where it first ran, so all attempts of one
+    task see the same counter and the injected failure sequence is
+    identical in every dispatch mode.
     """
 
     def __init__(

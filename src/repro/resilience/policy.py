@@ -6,13 +6,12 @@ deadline, which exception types count as *transient* (retryable), and
 an optional result validator that turns corrupted payloads into
 retries.
 
-:func:`run_with_policy` is the runner both the serial and the parallel
-execution paths share, so a sweep behaves bit-identically at any job
-count: the retry loop executes wherever the task executes (in-process,
-or inside the pool worker that owns the task's chunk), and every retry
-and timeout is recorded through the ``repro.obs`` counters
-(``exec.retries``, ``exec.timeouts``, ``exec.invalid_results``) that
-the parallel engine already re-aggregates from workers.
+:func:`run_with_policy` is the runner every scalar execution path
+shares (the study loop, the vectorized engine's fault-routed points,
+the tuner's resilient lane), so a sweep behaves bit-identically in any
+dispatch mode; every retry and timeout is recorded through the
+``repro.obs`` counters (``exec.retries``, ``exec.timeouts``,
+``exec.invalid_results``).
 
 Backoff is exponential and deliberately jitter-free — determinism is a
 repo-wide invariant (the same study must produce the same trace twice).

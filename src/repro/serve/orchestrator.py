@@ -9,9 +9,8 @@ The long-lived core of the serving layer.  One orchestrator owns
 * a small pool of worker *threads* that multiplex every tenant's jobs
   over one process — per-job cost is analytic math measured in
   milliseconds (PR 7), so the service is orchestration-bound and
-  threads are the right grain; each job's own sweep may still fan out
-  through the vectorized or process-pool engines via its ``dispatch``
-  option.
+  threads are the right grain; a job's ``dispatch`` option may pin
+  its own sweep to the vectorized engine.
 
 Request flow for a clean job: store hit → ``done`` immediately
 (``serve.dedup_hits``); identical config already queued/running →
@@ -54,7 +53,7 @@ from __future__ import annotations
 import math
 import threading
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.dsl.shapes import by_name
 from repro.errors import ServeError, WorkerCrashError
@@ -101,14 +100,23 @@ _CRASH_PATH_COUNTERS = (
 )
 
 
+def _replayable(options: Optional[Dict[str, Any]]) -> Optional[Dict[str, Any]]:
+    """A journaled options document in the current option vocabulary.
+
+    Journals written while a process-pool engine existed may pin
+    ``dispatch: "pool"``; that job replays with the default dispatch.
+    """
+    if options and options.get("dispatch") == "pool":
+        options = {k: v for k, v in options.items() if k != "dispatch"}
+    return options or None
+
+
 class Orchestrator:
     """Owns the queue, the store, and the worker pool of one service.
 
     ``workers`` threads drain the queue concurrently; ``batch_window``
     bounds how many batchable jobs one worker may coalesce into a
-    single vectorized sweep (1 disables micro-batching); ``jobs`` is
-    the per-study worker-process count forwarded to
-    :func:`~repro.harness.run_study` for solo runs.
+    single vectorized sweep (1 disables micro-batching).
 
     ``run_study_fn`` is injectable for tests (a raising stub exercises
     the ``failed`` path deterministically).
@@ -129,7 +137,6 @@ class Orchestrator:
         queue_limit: int = 32,
         workers: int = 2,
         batch_window: int = 8,
-        jobs: Optional[int] = None,
         run_study_fn: Optional[Callable[..., StudyResults]] = None,
         journal: "Optional[JobJournal | str]" = None,
         backend: str = "thread",
@@ -151,7 +158,6 @@ class Orchestrator:
         self.queue = JobQueue(limit=queue_limit)
         self.workers = workers
         self.batch_window = batch_window
-        self.study_jobs = jobs
         self.backend = backend
         self.max_crashes = max_crashes
         self.checkpoint_every = checkpoint_every
@@ -235,6 +241,8 @@ class Orchestrator:
         their outcome.  A ``running`` row whose attempt count exceeds
         ``max_crashes`` is quarantined instead of re-enqueued — a job
         that kills the server on every boot must not crash-loop it.
+        A row pinning the retired ``"pool"`` dispatch replays under the
+        default engine.
         """
         assert self.journal is not None
         records = self.journal.replay()
@@ -253,7 +261,7 @@ class Orchestrator:
         for record in ordered:
             try:
                 config = config_from_dict(record.config)
-                options = JobOptions.from_dict(record.options or None)
+                options = JobOptions.from_dict(_replayable(record.options))
             except Exception as exc:
                 counter("serve.recovery.unrecoverable").inc()
                 self.journal.record_state(
@@ -515,7 +523,7 @@ class Orchestrator:
         points after its last checkpoint (``study.resumed_points``
         counts the skips).  Drill jobs never touch the shared cache.
         """
-        kwargs: Dict[str, object] = {"parallel": self.study_jobs}
+        kwargs: Dict[str, object] = {}
         if job.options.clean and self.store.cache_dir:
             kwargs["cache_dir"] = self.store.cache_dir
             kwargs["resume"] = True

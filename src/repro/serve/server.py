@@ -55,6 +55,11 @@ _JOB_PATH = re.compile(r"^/jobs/([A-Za-z0-9_.-]+)(/result)?$")
 #: Cap request bodies well above any real config document.
 _MAX_BODY_BYTES = 1 << 20
 
+#: Seconds a request body may take to arrive in full; a client that
+#: sends less than its ``Content-Length`` gets 408 instead of holding a
+#: handler thread forever.
+READ_TIMEOUT_S = 10.0
+
 
 def result_payload(job: Job) -> bytes:
     """The result body: exactly the bytes ``dump_study`` would write.
@@ -141,7 +146,16 @@ class ServeHandler(BaseHTTPRequestHandler):
             if length is not None and length > _MAX_BODY_BYTES:
                 raise ServeError(f"request body too large ({length} bytes)")
             raise ServeError(f"bad Content-Length {header!r}")
-        return self.rfile.read(length) if length else b""
+        if not length:
+            return b""
+        self.connection.settimeout(READ_TIMEOUT_S)
+        try:
+            return self.rfile.read(length)
+        except TimeoutError:
+            self.close_connection = True
+            raise
+        finally:
+            self.connection.settimeout(self.timeout)
 
     # ---- verbs -------------------------------------------------------------
     def do_POST(self) -> None:  # noqa: N802 - http.server API
@@ -169,6 +183,11 @@ class ServeHandler(BaseHTTPRequestHandler):
                 return
             except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 self._error(400, f"request body is not valid JSON: {exc}")
+                return
+            except TimeoutError:
+                self._error(
+                    408, f"request body incomplete after {READ_TIMEOUT_S:g} s"
+                )
                 return
             try:
                 job = self.server.orchestrator.submit(config, options)

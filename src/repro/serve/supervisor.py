@@ -12,10 +12,9 @@ module is the containment layer the ``--backend process`` flag buys:
   time over a pipe, runs it through the same
   :func:`~repro.harness.experiments.run_study` path as the thread
   backend (checkpoints, retries and fault plans included), and ships
-  the study back *with its counters and spans* (captured and merged by
-  the same :func:`repro.exec.capture_counters` /
-  :func:`repro.exec.merge_observations` pair the chunked pool uses, so
-  telemetry is backend-agnostic);
+  the study back *with its counters and spans* (captured by
+  :func:`capture_counters` in the child and folded into the parent by
+  :func:`merge_observations`, so telemetry is backend-agnostic);
 * a **heartbeat** — a shared double the child refreshes from a daemon
   thread a few times a second — distinguishes "still simulating" from
   "wedged below Python" (stuck in C, deadlocked);
@@ -48,11 +47,14 @@ import threading
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro import obs
 from repro.errors import ServeError, TaskTimeoutError, WorkerCrashError
 from repro.obs import counter
+from repro.obs.export import spans_from_dicts
+from repro.obs.metrics import Counter
 from repro.serve.jobs import Job
 
-__all__ = ["Supervisor", "WorkerHandle"]
+__all__ = ["Supervisor", "WorkerHandle", "capture_counters", "merge_observations"]
 
 #: How often the child refreshes its heartbeat stamp.
 _HEARTBEAT_EVERY_S = 0.2
@@ -69,6 +71,28 @@ _SUPERVISOR_COUNTERS = (
     "serve.supervisor.heartbeat_kills",
     "serve.supervisor.backoff_waits",
 )
+
+
+def capture_counters(registry: obs.MetricsRegistry) -> Dict[str, int]:
+    """Counter name -> value for every counter in ``registry``."""
+    return {
+        name: registry.get(name).value
+        for name in registry.names()
+        if isinstance(registry.get(name), Counter)
+    }
+
+
+def merge_observations(
+    counters: Dict[str, int], span_dicts: List[Dict[str, Any]]
+) -> None:
+    """Fold one worker's counters and flattened spans into the parent."""
+    for name, value in counters.items():
+        if value:
+            obs.counter(name).inc(value)
+    tracer = obs.get_tracer()
+    if tracer.enabled and span_dicts:
+        for root in spans_from_dicts(span_dicts):
+            tracer.adopt(root)
 
 
 def _worker_main(conn: Any, heartbeat: Any) -> None:
@@ -91,8 +115,6 @@ def _worker_main(conn: Any, heartbeat: Any) -> None:
 
     # Imports deferred to keep the pre-fork footprint (and the window
     # for import-time state to leak across the fork) small.
-    from repro import obs
-    from repro.exec.pool import capture_counters
     from repro.harness.experiments import run_study
     from repro.obs.export import span_to_dict
 
@@ -244,8 +266,6 @@ class WorkerHandle:
                 exit_code=code,
             ) from None
         kind, payload, counters, spans = reply
-        from repro.exec.pool import merge_observations
-
         merge_observations(counters, spans)
         if kind == "error":
             raise ServeError(payload)

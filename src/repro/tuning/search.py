@@ -14,24 +14,12 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.dsl.stencil import Stencil
 from repro.errors import SimulationError
-from repro.exec import (
-    RetryPolicy,
-    TaskFailure,
-    evaluate_candidate,
-    parallel_map,
-    resolve_jobs,
-)
+from repro.exec import RetryPolicy, TaskFailure, evaluate_candidate, map_items
 from repro.gpu.batch import BatchPoint, simulate_batch
 from repro.gpu.progmodel import Platform
 from repro.gpu.simulator import SimulationResult
 from repro.obs import counter, span
 from repro.tuning.space import TuningPoint, TuningSpace
-
-#: Largest candidate set evaluated as one ``simulate_batch`` call.  The
-#: full exhaustive tile/brick spaces the ROADMAP aims at sit well under
-#: this; anything bigger falls back to the per-candidate scalar engine
-#: (which can spread over a pool and apply retry policies).
-BATCH_TUNE_MAX = 4096
 
 
 @dataclass(frozen=True)
@@ -68,20 +56,16 @@ class Autotuner:
         platform: Platform,
         domain: Tuple[int, int, int] = (512, 512, 512),
         stencil_name: str | None = None,
-        jobs: Optional[int] = None,
         policy: Optional[RetryPolicy] = None,
     ) -> TuningOutcome:
-        """Grid-search the space; ``jobs`` workers evaluate candidates.
+        """Grid-search the space; one ``simulate_batch`` ranks it.
 
-        ``jobs`` follows the engine convention (``None`` consults
-        ``$REPRO_JOBS``, ``<= 1`` is serial, ``0`` is one per CPU); the
-        outcome is identical at any job count.
-
-        ``policy`` turns on resilient evaluation: transient candidate
-        failures are retried per the policy, and candidates that still
-        fail are dropped from the ranking (counted as
-        ``exec.failed_points``) instead of aborting the whole search —
-        unless *every* candidate failed, which raises.
+        ``policy`` turns on resilient evaluation instead: candidates run
+        one by one in-process, transient failures are retried per the
+        policy, and candidates that still fail are dropped from the
+        ranking (counted as ``exec.failed_points``) instead of aborting
+        the whole search — unless *every* candidate failed, which
+        raises.  The outcome is identical either way.
         """
         key = (
             stencil.offsets(),
@@ -105,10 +89,7 @@ class Autotuner:
                     platform.arch.simd_width, stencil.radius, domain
                 )
             )
-            jobs_n = resolve_jobs(jobs)
-            use_batch = (
-                policy is None and jobs_n <= 1 and 0 < len(points) <= BATCH_TUNE_MAX
-            )
+            use_batch = policy is None
             mode = "batch" if use_batch else "scalar"
             if sp is not None:
                 sp.set_attr("mode", mode)
@@ -145,9 +126,8 @@ class Autotuner:
                     domain=domain,
                     stencil_name=stencil_name,
                 )
-                results = parallel_map(
-                    evaluate, points, jobs=jobs, policy=policy,
-                    capture_failures=policy is not None,
+                results = map_items(
+                    evaluate, points, policy=policy, capture_failures=True
                 )
                 for i, (point, res) in enumerate(zip(points, results)):
                     if isinstance(res, TaskFailure):

@@ -4,8 +4,8 @@
 sweeps, so the scalar path is its oracle: every result field — floats
 *bitwise*, ints by value, types by identity — must match, across every
 dispatch mode, including failure degradation under injected faults.
-These tests pin that contract, plus the dispatch decision layer that
-routes between the engines.
+These tests pin that contract, plus the dispatch pin ``run_study``
+counts per sweep.
 """
 
 import gc
@@ -21,16 +21,7 @@ from hypothesis import strategies as st
 from repro import harness, obs
 from repro.dsl.shapes import by_name
 from repro.errors import ExecutionError, SimulationError
-from repro.exec import (
-    DISPATCH_MODES,
-    break_even_points,
-    choose_dispatch,
-    clear_cost_model,
-    microbatch_study_points,
-    observed_cost,
-    parallel_map,
-    record_cost,
-)
+from repro.exec import DISPATCH_MODES, map_items, microbatch_study_points
 from repro.exec.workers import simulate_point
 from repro.gpu import (
     BatchPoint,
@@ -189,10 +180,10 @@ class TestStudyEquivalence:
     def test_three_way_results_identical(self):
         serial = harness.run_study(SMALL, dispatch="serial")
         vectorized = harness.run_study(SMALL, dispatch="vectorized")
-        pool = harness.run_study(SMALL, parallel=2, dispatch="pool")
+        default = harness.run_study(SMALL)
         assert list(vectorized.results) == list(serial.results)
         assert vectorized.results == serial.results
-        assert pool.results == serial.results
+        assert default.results == serial.results
         for key in serial.results:
             assert _bits(vectorized.results[key]) == _bits(serial.results[key])
 
@@ -224,8 +215,7 @@ class TestStudyEquivalence:
         clean = harness.run_study(config, dispatch="serial")
         runs = {
             mode: harness.run_study(
-                config, parallel=2 if mode == "pool" else None,
-                policy=policy, fault_plan=plan_for(), dispatch=mode,
+                config, policy=policy, fault_plan=plan_for(), dispatch=mode,
             )
             for mode in DISPATCH_MODES
         }
@@ -247,16 +237,14 @@ class TestStudyEquivalence:
         assert plan_for().count("raise") > 0
         runs = {
             mode: harness.run_study(
-                config, parallel=2 if mode == "pool" else None,
-                policy=policy, fault_plan=plan_for(), dispatch=mode,
+                config, policy=policy, fault_plan=plan_for(), dispatch=mode,
             )
             for mode in DISPATCH_MODES
         }
         serial = runs["serial"]
         assert serial.failed  # the seed injects at least one raise
-        for mode in ("vectorized", "pool"):
-            assert runs[mode].failed == serial.failed, mode
-            assert runs[mode].results == serial.results, mode
+        assert runs["vectorized"].failed == serial.failed
+        assert runs["vectorized"].results == serial.results
 
     def test_vectorized_span_tree(self, tracer):
         harness.run_study(SMALL, dispatch="vectorized")
@@ -386,12 +374,12 @@ def _mixed_chunk():
 
 
 #: Domains the flat int64 gather must not take: a float extent (valid
-#: for the scalar path) and a wrong arity.
-ODD_DOMAINS = ((64.0, 4, 4), (64, 4))
+#: for the scalar path), a wrong arity and a missing domain.
+ODD_DOMAINS = ((64.0, 4, 4), (64, 4), None)
 
 
 def _odd_chunk():
-    """The mixed chunk plus points with a float and a 2-tuple domain."""
+    """The mixed chunk plus points with each of the odd domains."""
     seven, thirteen = by_name("7pt").build(), by_name("13pt").build()
     plat = platform("A100", "CUDA")
     return _mixed_chunk() + [
@@ -427,7 +415,7 @@ class TestColumnarFallback:
             points, capture_failures=True, check_invariants=check,
             chunk_size=chunk_size,
         )
-        scalar = parallel_map(
+        scalar = map_items(
             lambda p: _scalar(p, check), points, capture_failures=True
         )
         assert [type(b) for b in batch] == [type(s) for s in scalar]
@@ -505,18 +493,19 @@ class TestColumnarFallback:
     @pytest.mark.parametrize("chunk_size", [3, 1024])
     @pytest.mark.parametrize("check", [False, True])
     def test_odd_domains_capture_like_scalar(self, chunk_size, check):
-        # A float extent is valid for the scalar path; a 2-tuple is not.
+        # A float extent is valid for the scalar path; a 2-tuple and a
+        # missing domain are not.
         points = _odd_chunk()
         batch = simulate_batch(
             points, capture_failures=True, check_invariants=check,
             chunk_size=chunk_size,
         )
-        scalar = parallel_map(
+        scalar = map_items(
             lambda p: _scalar(p, check), points, capture_failures=True
         )
         assert [type(b) for b in batch] == [type(s) for s in scalar]
         assert batch == scalar
-        assert sum(isinstance(b, TaskFailure) for b in batch) == 4 * 4 + 1
+        assert sum(isinstance(b, TaskFailure) for b in batch) == 4 * 5 + 1
         floats = [b for p, b in zip(points, batch) if p.domain == ODD_DOMAINS[0]]
         assert floats and all(type(b.domain[0]) is float for b in floats)
 
@@ -532,6 +521,7 @@ class TestColumnarFallback:
         try:
             expected = [_scalar(good), _scalar(point)]
         except Exception as exc:
+            assert isinstance(exc, SimulationError)
             scalar_counts = _counters(registry)
             obs.set_registry(obs.MetricsRegistry())
             with pytest.raises(Exception) as batch_err:
@@ -641,7 +631,7 @@ class TestStudyFrame:
             points, capture_failures=True, check_invariants=False,
             chunk_size=chunk_size,
         )
-        scalar = parallel_map(_scalar, points, capture_failures=True)
+        scalar = map_items(_scalar, points, capture_failures=True)
         failed = [i for i, s in enumerate(scalar) if isinstance(s, TaskFailure)]
         assert failed
         assert [i for i, r in enumerate(frame) if isinstance(r, TaskFailure)] == failed
@@ -687,99 +677,42 @@ class TestStudyFrame:
         assert split == [[simulate_point(item) for item in g] for g in groups]
 
 
+SINGLE = harness.ExperimentConfig(
+    stencils=("7pt",), variants=("array",), domain=(64, 64, 64),
+    platform_filter=("A100-CUDA",),
+)
+
+
 class TestDispatchDecision:
     def test_single_point_stays_serial(self, registry):
-        assert choose_dispatch(1, 8).mode == "serial"
+        harness.run_study(SINGLE)
+        assert registry.counter("exec.dispatch.serial").value == 1
 
-    def test_large_sweep_vectorizes_even_serial(self, registry):
-        decision = choose_dispatch(100_000, 1)
-        assert decision.mode == "vectorized"
+    def test_small_serial_sweep_stays_serial(self, tracer):
+        harness.run_study(SMALL)
+        (root,) = tracer.roots()
+        assert root.attrs["dispatch"] == "serial"
+        assert len(root.find("study.point")) == 15
 
-    def test_parallel_request_vectorizes(self, registry):
-        assert choose_dispatch(90, 4).mode == "vectorized"
-
-    def test_small_serial_sweep_stays_serial(self, registry):
-        assert choose_dispatch(90, 1).mode == "serial"
-
-    def test_unvectorizable_parallel_goes_pool(self, registry):
-        assert choose_dispatch(90, 4, vectorizable=False).mode == "pool"
-
-    def test_forced_mode_wins(self, registry):
+    def test_forced_mode_wins(self, tracer):
         for mode in DISPATCH_MODES:
-            assert choose_dispatch(90, 4, forced=mode).mode == mode
+            harness.run_study(SINGLE, dispatch=mode)
+        assert [r.attrs["dispatch"] for r in tracer.roots()] == list(DISPATCH_MODES)
 
     def test_unknown_forced_mode_raises(self, registry):
-        with pytest.raises(ExecutionError, match="unknown dispatch"):
-            choose_dispatch(90, 4, forced="quantum")
+        for mode in ("quantum", "pool"):
+            with pytest.raises(ExecutionError, match="unknown dispatch"):
+                harness.run_study(SINGLE, dispatch=mode)
 
     def test_decisions_are_counted(self, registry):
-        choose_dispatch(90, 4)
+        harness.run_study(SINGLE, dispatch="vectorized")
+        harness.run_study(SINGLE)
         assert registry.counter("exec.dispatch.vectorized").value == 1
-
-    def test_break_even_infinite_without_parallelism(self):
-        assert break_even_points(0.01, 4, cpus=1) == float("inf")
-        assert break_even_points(0.01, 1, cpus=8) == float("inf")
-
-    def test_break_even_finite_with_parallelism(self):
-        n = break_even_points(0.01, 4, cpus=4)
-        assert 0 < n < float("inf")
-        # Cheaper items need more of them to amortise pool startup.
-        assert break_even_points(0.001, 4, cpus=4) > n
-
-    def test_cost_model_ewma(self, registry):
-        clear_cost_model()
-        try:
-            record_cost(_costed, 0.1)
-            record_cost(_costed, 0.2)
-            assert observed_cost(_costed) == pytest.approx(0.15)
-        finally:
-            clear_cost_model()
-        assert observed_cost(_costed) is None
-
-
-def _costed(x):
-    return x
-
-
-def _double(x):
-    return 2 * x
-
-
-class TestPoolAutoFallback:
-    def test_cheap_parallel_map_falls_back_to_serial(self, registry):
-        clear_cost_model()
-        try:
-            record_cost(_double, 1e-6)  # far below any break-even
-            out = parallel_map(_double, list(range(50)), jobs=4)
-            assert out == [2 * x for x in range(50)]
-            assert registry.counter("exec.dispatch.serial_fallback").value == 1
-        finally:
-            clear_cost_model()
-
-    def test_probe_path_records_cost(self, registry):
-        clear_cost_model()
-        try:
-            out = parallel_map(_double, list(range(40)), jobs=2)
-            assert out == [2 * x for x in range(40)]
-            assert observed_cost(_double) is not None
-        finally:
-            clear_cost_model()
-
-    def test_auto_fallback_off_keeps_the_pool(self, registry):
-        clear_cost_model()
-        try:
-            record_cost(_double, 1e-6)
-            out = parallel_map(
-                _double, list(range(12)), jobs=2, auto_fallback=False
-            )
-            assert out == [2 * x for x in range(12)]
-            assert registry.counter("exec.dispatch.serial_fallback").value == 0
-        finally:
-            clear_cost_model()
+        assert registry.counter("exec.dispatch.serial").value == 1
 
 
 class TestTuningDispatch:
-    def test_batch_and_pool_tuning_agree(self, registry):
+    def test_batch_and_scalar_tuning_agree(self, registry):
         from repro.tuning import Autotuner
 
         stencil = by_name("13pt").build()
@@ -789,10 +722,11 @@ class TestTuningDispatch:
             stencil, plat, domain=domain, stencil_name="13pt"
         )
         assert registry.counter("tune.mode.batch").value == 1
-        pool = Autotuner().tune(
-            stencil, plat, domain=domain, stencil_name="13pt", jobs=2
+        scalar = Autotuner().tune(
+            stencil, plat, domain=domain, stencil_name="13pt",
+            policy=RetryPolicy(),
         )
         assert registry.counter("tune.mode.scalar").value == 1
-        assert batch.best == pool.best
-        assert batch.ranking == pool.ranking
-        assert _bits(batch.best_result) == _bits(pool.best_result)
+        assert batch.best == scalar.best
+        assert batch.ranking == scalar.ranking
+        assert _bits(batch.best_result) == _bits(scalar.best_result)

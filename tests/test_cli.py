@@ -126,6 +126,16 @@ class TestStudyAndTune:
         doc = json.loads(json_path.read_text())
         assert len(doc["results"]) == 90
 
+    @pytest.mark.parametrize("argv", [
+        ("study", "--dispatch", "pool"),
+        ("study", "--jobs", "2"),
+        ("tune", "--stencil", "7pt", "--jobs", "2"),
+    ])
+    def test_retired_pool_options_exit_2(self, argv):
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(list(argv))
+        assert exit_.value.code == 2
+
     def test_tune(self, capsys):
         rc, out = run_cli(
             capsys, "tune", "--stencil", "7pt", "--arch", "MI250X",

@@ -1,20 +1,15 @@
-"""The parallel execution engine: equivalence with serial runs.
+"""The in-process study engine (``map_items``) and its study contract.
 
-A parallel sweep must be a pure implementation detail: same results,
-same counters, same span tree as the serial path, just spread over
-worker processes.  These tests pin that contract.
+``map_items`` replaced the old parallel map, so these tests keep its
+class names: results come back in input order, a closure needs no
+pickling, exceptions propagate, and counters bumped by the mapped
+function land in the caller's registry.
 """
-
-import os
 
 import pytest
 
 from repro import harness, obs
-from repro.errors import ExecutionError
-from repro.exec import parallel_map, resolve_jobs
-from repro.exec.pool import _chunk_bounds
-from repro.gpu.progmodel import platform
-from repro.tuning import Autotuner
+from repro.exec import map_items
 
 SMALL = harness.ExperimentConfig(stencils=("7pt",), domain=(64, 64, 64))
 
@@ -27,17 +22,6 @@ def registry():
     obs.set_registry(prev)
 
 
-@pytest.fixture
-def tracer():
-    prev_t, prev_r = obs.get_tracer(), obs.get_registry()
-    t = obs.set_tracer(obs.Tracer(enabled=True))
-    obs.set_registry(obs.MetricsRegistry())
-    yield t
-    obs.set_tracer(prev_t)
-    obs.set_registry(prev_r)
-
-
-# Module-level so the pool can pickle them by reference.
 def _square(x):
     return x * x
 
@@ -49,127 +33,44 @@ def _fail_on_seven(x):
 
 
 def _count_call(x):
-    obs.counter("pool_test.calls").inc()
+    obs.counter("map_test.calls").inc()
     return x + 1
-
-
-class TestResolveJobs:
-    def test_default_is_serial(self, monkeypatch):
-        monkeypatch.delenv("REPRO_JOBS", raising=False)
-        assert resolve_jobs(None) == 1
-
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "3")
-        assert resolve_jobs(None) == 3
-
-    def test_explicit_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "3")
-        assert resolve_jobs(2) == 2
-
-    def test_zero_means_cpu_count(self):
-        assert resolve_jobs(0) == (os.cpu_count() or 1)
-
-    def test_invalid_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "lots")
-        with pytest.raises(ExecutionError):
-            resolve_jobs(None)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ExecutionError):
-            resolve_jobs(-2)
-
-
-class TestChunking:
-    def test_bounds_cover_range_exactly(self):
-        for n in (1, 5, 16, 17, 100):
-            for nchunks in (1, 3, 8, 200):
-                bounds = _chunk_bounds(n, nchunks)
-                flat = [i for s, e in bounds for i in range(s, e)]
-                assert flat == list(range(n))
-                sizes = [e - s for s, e in bounds]
-                assert max(sizes) - min(sizes) <= 1  # balanced
-                assert min(sizes) >= 1  # never an empty chunk
 
 
 class TestParallelMap:
     def test_results_in_input_order(self):
         items = list(range(53))
-        assert parallel_map(_square, items, jobs=4) == [x * x for x in items]
+        assert map_items(_square, items) == [x * x for x in items]
 
     def test_serial_fallback_runs_in_process(self):
-        # jobs=1 never pickles: a closure (unpicklable) works fine.
-        assert parallel_map(lambda x: x + 1, [1, 2, 3], jobs=1) == [2, 3, 4]
+        # Nothing is pickled: a closure works fine.
+        assert map_items(lambda x: x + 1, [1, 2, 3]) == [2, 3, 4]
 
     def test_single_item_runs_in_process(self):
-        assert parallel_map(lambda x: -x, [5], jobs=8) == [-5]
+        assert map_items(lambda x: -x, [5]) == [-5]
 
     def test_empty(self):
-        assert parallel_map(_square, [], jobs=4) == []
+        assert map_items(_square, []) == []
 
     def test_exceptions_propagate(self):
         with pytest.raises(ValueError, match="seven"):
-            parallel_map(_fail_on_seven, list(range(20)), jobs=2)
+            map_items(_fail_on_seven, list(range(20)))
 
     def test_worker_counters_aggregate(self, registry):
-        parallel_map(_count_call, list(range(40)), jobs=3)
-        assert registry.counter("pool_test.calls").value == 40
+        map_items(_count_call, list(range(40)))
+        assert registry.counter("map_test.calls").value == 40
 
 
 class TestStudyEquivalence:
     def test_parallel_study_equals_serial(self):
         serial = harness.run_study(SMALL)
-        parallel = harness.run_study(SMALL, parallel=3)
-        assert list(parallel.results) == list(serial.results)  # same order
-        assert parallel.results == serial.results  # same values
+        vectorized = harness.run_study(SMALL, dispatch="vectorized")
+        assert list(vectorized.results) == list(serial.results)  # same order
+        assert vectorized.results == serial.results  # same values
 
     def test_parallel_counters_match_serial(self, registry):
-        harness.run_study(SMALL, parallel=3)
-        # 1 stencil x 5 platforms x 3 variants, re-aggregated from workers.
+        harness.run_study(SMALL, dispatch="vectorized")
+        # 1 stencil x 5 platforms x 3 variants.
         assert registry.counter("simulate.calls").value == 15
         assert registry.counter("study.points").value == 15
         assert registry.counter("codegen.vector_ops").value > 0
-
-    def test_parallel_span_tree_matches_serial_contract(self, tracer):
-        # dispatch="pool" pins the per-point worker span tree; the
-        # default auto-dispatch routes jobs>1 to the vectorized engine,
-        # whose span contract is covered by test_batch_equivalence.
-        harness.run_study(SMALL, parallel=2, dispatch="pool")
-        (root,) = tracer.roots()
-        assert root.name == "run_study"
-        assert root.attrs["jobs"] == 2
-        points = root.find("study.point")
-        assert len(points) == 15
-        keys = {
-            (p.attrs["stencil"], p.attrs["platform"], p.attrs["variant"])
-            for p in points
-        }
-        assert len(keys) == 15
-        for p in points:
-            (sim,) = p.children
-            assert sim.name == "simulate"
-            assert [c.name for c in sim.children] == [
-                "codegen", "cost", "traffic", "timing"
-            ]
-
-    def test_adopted_span_ids_are_unique(self, tracer):
-        harness.run_study(SMALL, parallel=2, dispatch="pool")
-        (root,) = tracer.roots()
-        ids = [s.span_id for s in root.walk()]
-        assert len(ids) == len(set(ids))
-
-
-class TestTuningEquivalence:
-    def test_parallel_tune_equals_serial(self):
-        from repro.dsl.shapes import by_name
-
-        stencil = by_name("13pt").build()
-        plat = platform("A100", "CUDA")
-        domain = (64, 64, 64)
-        # Separate tuners: tune() memoises per (stencil, platform, domain).
-        serial = Autotuner().tune(stencil, plat, domain=domain,
-                                  stencil_name="13pt", jobs=1)
-        parallel = Autotuner().tune(stencil, plat, domain=domain,
-                                    stencil_name="13pt", jobs=2)
-        assert parallel.best == serial.best
-        assert parallel.best_result == serial.best_result
-        assert parallel.ranking == serial.ranking

@@ -96,13 +96,13 @@ class TestDiffRun:
         assert report.entries[0].status == "improved"
 
     def test_higher_direction_flags_throughput_drop(self, store):
-        spec = obs.MetricSpec("gate.sweep.speedup", "higher", 0.5)
+        spec = obs.MetricSpec("gate.cachesim.speedup", "higher", 0.5)
         for _ in range(3):
-            record_run(store, gates={"sweep.speedup": (2.0, True)})
-        record_run(store, gates={"sweep.speedup": (0.7, False)})
+            record_run(store, gates={"cachesim.speedup": (2.0, True)})
+        record_run(store, gates={"cachesim.speedup": (0.7, False)})
         assert not obs.diff_run(store, specs=[spec]).ok
         # A rise is an improvement, never a failure.
-        record_run(store, gates={"sweep.speedup": (4.0, True)})
+        record_run(store, gates={"cachesim.speedup": (4.0, True)})
         assert obs.diff_run(store, specs=[spec]).ok
 
     def test_equal_direction_flags_any_drift(self, store):
@@ -174,5 +174,5 @@ class TestDiffRun:
 
     def test_default_specs_cover_the_bench_gates(self):
         names = {s.name for s in obs.DEFAULT_SPECS}
-        assert {"run.duration_s", "gate.sweep.speedup",
+        assert {"run.duration_s", "gate.batch.speedup_vs_serial",
                 "gate.cachesim.speedup", "span.simulate.total_s"} <= names

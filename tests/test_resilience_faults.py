@@ -20,7 +20,7 @@ from repro.errors import (
     TaskTimeoutError,
     TransientError,
 )
-from repro.exec import parallel_map
+from repro.exec import map_items
 from repro.harness.tables import table3
 from repro.resilience import (
     CorruptPayload,
@@ -233,14 +233,14 @@ class TestRunWithPolicy:
         assert _count(registry, "exec.retries") == 1
 
 
-# --- parallel_map integration --------------------------------------------
+# --- map_items integration ------------------------------------------------
 
 
 class TestParallelMapResilience:
     def test_capture_failures_degrades_to_record(self, registry):
         policy = RetryPolicy(retries=0, backoff_s=0.0)
-        results = parallel_map(
-            _transient_on_three, [1, 2, 3, 4], jobs=1,
+        results = map_items(
+            _transient_on_three, [1, 2, 3, 4],
             policy=policy, capture_failures=True,
         )
         assert results[0] == 2 and results[1] == 4 and results[3] == 8
@@ -252,20 +252,10 @@ class TestParallelMapResilience:
 
     def test_capture_timeout_marks_timed_out(self):
         policy = RetryPolicy(retries=0, backoff_s=0.0, timeout_s=0.1)
-        [failure] = parallel_map(
-            _sleepy, [1], jobs=1, policy=policy, capture_failures=True
+        [failure] = map_items(
+            _sleepy, [1], policy=policy, capture_failures=True
         )
         assert isinstance(failure, TaskFailure) and failure.timed_out
-
-    def test_faulted_parallel_matches_serial(self, registry):
-        policy = RetryPolicy(retries=2, backoff_s=0.0)
-        serial = parallel_map(_Flaky(failures=1), list(range(12)), jobs=1,
-                              policy=policy)
-        serial_retries = _count(registry, "exec.retries")
-        parallel = parallel_map(_Flaky(failures=1), list(range(12)), jobs=2,
-                                policy=policy)
-        assert parallel == serial == [10 * x for x in range(12)]
-        assert _count(registry, "exec.retries") == 2 * serial_retries
 
 
 # --- the acceptance sweep: faults into a 2-platform study ----------------
@@ -293,11 +283,11 @@ POLICY = RetryPolicy(retries=2, backoff_s=0.0, timeout_s=0.5)
 class TestStudyDegradation:
     @pytest.fixture
     def clean(self):
-        return harness.run_study(SMALL2, parallel=1)
+        return harness.run_study(SMALL2)
 
     def test_faulted_sweep_degrades_gracefully(self, registry, clean):
         study = harness.run_study(
-            SMALL2, parallel=2, policy=POLICY, fault_plan=PLAN
+            SMALL2, policy=POLICY, fault_plan=PLAN, dispatch="vectorized"
         )
         # Retried points recover bit-identically; only the hang is lost.
         assert len(study) == 11 and not study.complete
@@ -319,25 +309,25 @@ class TestStudyDegradation:
         assert _count(registry, "faults.injected.raise") == 4
         assert _count(registry, "faults.injected.hang") == 3
 
-    def test_serial_and_parallel_fail_identically(self, registry):
+    def test_serial_and_vectorized_fail_identically(self, registry):
         serial = harness.run_study(
-            SMALL2, parallel=1, policy=POLICY, fault_plan=PLAN
+            SMALL2, policy=POLICY, fault_plan=PLAN
         )
         mid = {
             name: _count(registry, name)
             for name in ("exec.retries", "exec.timeouts", "exec.failed_points")
         }
-        parallel = harness.run_study(
-            SMALL2, parallel=2, policy=POLICY, fault_plan=PLAN
+        vectorized = harness.run_study(
+            SMALL2, policy=POLICY, fault_plan=PLAN, dispatch="vectorized"
         )
-        assert parallel.results == serial.results
-        assert parallel.failed == serial.failed
+        assert vectorized.results == serial.results
+        assert vectorized.failed == serial.failed
         for name, value in mid.items():
             assert _count(registry, name) == 2 * value, name
 
     def test_renderers_footnote_the_gap(self, registry, clean):
         study = harness.run_study(
-            SMALL2, parallel=1, policy=POLICY, fault_plan=PLAN
+            SMALL2, policy=POLICY, fault_plan=PLAN
         )
         rendered = table3(study).render()
         assert "n/a *" in rendered

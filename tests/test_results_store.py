@@ -371,19 +371,19 @@ class TestCli:
         failures = []
         doc = {
             "schema_version": 1,
-            "sweep": {
-                "speedup": 2.5, "jobs": 2,
-                "parallel_points_per_s": 100.0,
-                "serial_points_per_s": 50.0,
+            "batch": {
+                "speedup_vs_serial": 150.0,
+                "points_per_s_100k": 250000,
+                "points_per_s_90": 400.0,
             },
         }
         mod.record_results(db, doc, failures)
         assert failures == []
         with ResultsStore(db, create=False) as store:
-            history = store.gate_history("sweep.speedup")
-            assert len(history) == 1 and history[0][2] == 2.5
+            history = store.gate_history("batch.speedup_vs_serial")
+            assert len(history) == 1 and history[0][2] == 150.0
             names = store.gate_names()
-        assert "sweep.parallel_points_per_s" in names
+        assert "batch.points_per_s_100k" in names
         # The full benchmark record is archived alongside the gates.
         conn = sqlite3.connect(db)
         (doc_json,) = conn.execute("SELECT doc FROM bench_runs").fetchone()

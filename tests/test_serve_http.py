@@ -136,13 +136,20 @@ class TestBackpressure:
 class TestErrorContract:
     def test_bad_config_is_400(self, service):
         client, _ = service
-        with pytest.raises(ServeError, match="400"):
-            client.submit({"stencils": ["1000000pt"]})
+        for doc in (
+            {"stencils": ["1000000pt"]},
+            {"stencils": ["7pt"] * 30},
+            {"stencils": ["7pt"], "variants": ["array", "array"]},
+            {"stencils": ["7pt"], "platforms": ["A100-CUDA", "A100-CUDA"]},
+        ):
+            with pytest.raises(ServeError, match="400"):
+                client.submit(doc)
 
     def test_unknown_option_is_400(self, service):
         client, _ = service
-        with pytest.raises(ServeError, match="400"):
-            client.submit(SMALL_DOC, {"priority": "high"})
+        for options in ({"priority": "high"}, {"dispatch": "pool"}):
+            with pytest.raises(ServeError, match="400"):
+                client.submit(SMALL_DOC, options)
 
     def test_malformed_json_is_400(self, service):
         client, _ = service
@@ -170,6 +177,26 @@ class TestErrorContract:
             conn.close()
         assert response.status == 400
         assert "Content-Length" in body["error"]
+
+    def test_short_body_times_out_with_408(self, service, monkeypatch):
+        from repro.serve import server
+
+        monkeypatch.setattr(server, "READ_TIMEOUT_S", 0.5)
+        client, _ = service
+        host, port = client.base_url.rsplit("/", 1)[-1].split(":")
+        conn = http.client.HTTPConnection(host, int(port), timeout=5)
+        try:
+            conn.putrequest("POST", "/studies")
+            conn.putheader("Content-Length", "100")
+            conn.endheaders(b'{"config": ')
+            response = conn.getresponse()
+            body = json.loads(response.read())
+            closed = conn.sock.recv(1) == b""  # the server hung up
+        finally:
+            conn.close()
+        assert response.status == 408
+        assert "incomplete" in body["error"]
+        assert closed
 
     def test_unknown_job_is_404(self, service):
         client, _ = service

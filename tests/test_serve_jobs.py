@@ -67,8 +67,8 @@ class TestJobOptions:
     def test_sleepy_job_is_not_clean(self):
         assert not JobOptions(sleep_s=0.5).clean
 
-    def test_pinned_pool_dispatch_is_not_batchable(self):
-        o = JobOptions(dispatch="pool")
+    def test_pinned_serial_dispatch_is_not_batchable(self):
+        o = JobOptions(dispatch="serial")
         assert o.clean and not o.batchable
 
     @pytest.mark.parametrize(
@@ -79,6 +79,7 @@ class TestJobOptions:
             {"sleep_s": MAX_SLEEP_S + 1},
             {"retries": -1},
             {"task_timeout": 0.0},
+            {"dispatch": "pool"},
         ],
     )
     def test_invalid_options_raise(self, kwargs):
@@ -193,12 +194,12 @@ class TestJobQueue:
     def test_drain_stops_at_first_rejected_head(self):
         q = JobQueue(limit=8)
         batchable = [self._job() for _ in range(2)]
-        solo = Job(config=SMALL, options=JobOptions(dispatch="pool"))
+        solo = Job(config=SMALL, options=JobOptions(dispatch="serial"))
         tail = self._job()
         for job in [*batchable, solo, tail]:
             q.put(job)
         taken = q.drain(10, lambda j: j.options.batchable)
-        assert taken == batchable  # stops at the pool job: FIFO fairness
+        assert taken == batchable  # stops at the serial job: FIFO fairness
         assert q.get(0.1) is solo
 
     def test_remove_supports_cancellation(self):

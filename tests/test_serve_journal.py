@@ -210,6 +210,32 @@ class TestOrchestratorReplay:
         assert registry.get("serve.recovery.restored_done").value == 1
         o2.close()
 
+    def test_retired_pool_dispatch_replays_as_default(self, tmp_path, registry):
+        # A journal from before the process pool was removed may pin
+        # dispatch "pool"; such rows replay with the default dispatch.
+        from repro.harness import run_study
+
+        path = str(tmp_path / "journal.db")
+        store = ResultStore(str(tmp_path / "cache"))
+        store.put(run_study(OTHER))
+        with JobJournal(path) as journal:
+            for job_id, config, state in (("j00001", SMALL, "queued"),
+                                          ("j00002", OTHER, "done")):
+                journal.record_submit(
+                    job_id, config.to_dict(), {"dispatch": "pool", "retries": 1},
+                    f"hash-{job_id}", state=state,
+                )
+
+        orch = Orchestrator(store, workers=1, journal=path)
+        assert orch.recover() == 1
+        queued, done = orch.job("j00001"), orch.job("j00002")
+        assert queued.state == "queued" and orch.queue.get() is queued
+        assert done.state == "done" and done.study is not None
+        for job in (queued, done):
+            assert job.options == JobOptions(retries=1)
+        assert registry.get("serve.recovery.unrecoverable").value == 0
+        orch.close()
+
     def test_done_job_with_lost_result_fails_with_note(self, tmp_path, registry):
         path = str(tmp_path / "journal.db")
         o1 = Orchestrator(ResultStore(), workers=1, journal=path)

@@ -41,7 +41,7 @@ def supervisor():
 class TestSupervisorUnit:
     def test_runs_a_study_and_merges_observations(self, registry, supervisor):
         job = Job(config=SMALL, options=JobOptions())
-        study = supervisor.run_job(job, {"parallel": None})
+        study = supervisor.run_job(job, {})
         assert study.complete
         assert len(study.results) == len(SMALL.keys())
         # The child's simulate.* counters travelled back with the study.
@@ -51,7 +51,7 @@ class TestSupervisorUnit:
     def test_worker_is_reused_across_jobs(self, registry, supervisor):
         for config in (SMALL, OTHER):
             job = Job(config=config, options=JobOptions())
-            supervisor.run_job(job, {"parallel": None})
+            supervisor.run_job(job, {})
         assert registry.get("serve.supervisor.spawned").value == 1
 
     def test_job_error_does_not_kill_the_worker(self, registry, supervisor):
@@ -59,17 +59,17 @@ class TestSupervisorUnit:
         # A bogus run kwarg makes run_study raise inside the child; the
         # worker catches it, replies ("error", ...), and stays alive.
         with pytest.raises(ServeError):
-            supervisor.run_job(bad, {"parallel": None, "no_such_kwarg": True})
+            supervisor.run_job(bad, {"no_such_kwarg": True})
         # Same worker still serves the next job.
         good = Job(config=SMALL, options=JobOptions())
-        assert supervisor.run_job(good, {"parallel": None}).complete
+        assert supervisor.run_job(good, {}).complete
         assert registry.get("serve.supervisor.spawned").value == 1
         assert registry.get("serve.supervisor.crashes").value == 0
 
     def test_drill_exit_raises_worker_crash(self, registry, supervisor):
         job = Job(config=SMALL, options=JobOptions(drill_exit=9))
         with pytest.raises(WorkerCrashError) as excinfo:
-            supervisor.run_job(job, {"parallel": None})
+            supervisor.run_job(job, {})
         assert excinfo.value.exit_code == 9
         assert registry.get("serve.supervisor.crashes").value == 1
 
@@ -79,7 +79,7 @@ class TestSupervisorUnit:
             job = Job(config=SMALL, options=JobOptions(sleep_s=30.0))
             t0 = time.monotonic()
             with pytest.raises(TaskTimeoutError, match="deadline"):
-                sup.run_job(job, {"parallel": None})
+                sup.run_job(job, {})
             assert time.monotonic() - t0 < 10.0  # killed, not waited out
             assert registry.get("serve.supervisor.deadline_kills").value == 1
             # A deadline kill is deliberate: no crash streak, no backoff.
@@ -92,11 +92,11 @@ class TestSupervisorUnit:
             with pytest.raises(WorkerCrashError):
                 supervisor.run_job(
                     Job(config=SMALL, options=JobOptions(drill_exit=1)),
-                    {"parallel": None},
+                    {},
                 )
         assert supervisor._spawn_delay_s() > 0
         supervisor.run_job(
-            Job(config=SMALL, options=JobOptions()), {"parallel": None}
+            Job(config=SMALL, options=JobOptions()), {}
         )
         assert supervisor._spawn_delay_s() == 0.0
 
@@ -105,7 +105,7 @@ class TestSupervisorUnit:
         sup.shutdown()
         with pytest.raises(ServeError, match="shut down"):
             sup.run_job(
-                Job(config=SMALL, options=JobOptions()), {"parallel": None}
+                Job(config=SMALL, options=JobOptions()), {}
             )
 
     def test_bad_knobs_raise(self):

@@ -51,7 +51,7 @@ class TestInterruptAndResume:
         ))
         with pytest.raises(KeyboardInterrupt):
             harness.run_study(
-                CONFIG, parallel=1, fault_plan=plan,
+                CONFIG, fault_plan=plan,
                 cache_dir=cache_dir, checkpoint_every=1,
             )
         # Every point completed before the interrupt was flushed.
@@ -61,7 +61,7 @@ class TestInterruptAndResume:
 
         calls_before = _count(registry, "simulate.calls")
         study = harness.run_study(
-            CONFIG, parallel=1, cache_dir=cache_dir, resume=True
+            CONFIG, cache_dir=cache_dir, resume=True
         )
         # Only the 2 missing points were simulated; 4 came for free.
         assert study.complete and len(study) == 6
@@ -77,13 +77,13 @@ class TestInterruptAndResume:
         ))
         with pytest.raises(KeyboardInterrupt):
             harness.run_study(
-                CONFIG, parallel=1, fault_plan=plan,
+                CONFIG, fault_plan=plan,
                 cache_dir=cache_dir, checkpoint_every=1,
             )
         resumed = harness.run_study(
-            CONFIG, parallel=1, cache_dir=cache_dir, resume=True
+            CONFIG, cache_dir=cache_dir, resume=True
         )
-        single = harness.run_study(CONFIG, parallel=1)
+        single = harness.run_study(CONFIG)
         assert resumed.results == single.results
         # Same canonical iteration order, not just the same mapping.
         assert list(resumed.results) == list(single.results)
@@ -95,7 +95,7 @@ class TestInterruptAndResume:
         ))
         policy = RetryPolicy(retries=1, backoff_s=0.0)
         study = harness.run_study(
-            CONFIG, parallel=1, policy=policy, fault_plan=plan,
+            CONFIG, policy=policy, fault_plan=plan,
             cache_dir=cache_dir,
         )
         assert not study.complete and set(study.failed) == {FAIL_KEY}
@@ -108,7 +108,7 @@ class TestInterruptAndResume:
 
         calls_before = _count(registry, "simulate.calls")
         retry = harness.run_study(
-            CONFIG, parallel=1, cache_dir=cache_dir, resume=True
+            CONFIG, cache_dir=cache_dir, resume=True
         )
         assert retry.complete and not retry.failed
         assert _count(registry, "simulate.calls") - calls_before == 1
@@ -128,7 +128,7 @@ class TestInterruptAndResume:
         ))
         with pytest.raises(KeyboardInterrupt):
             harness.run_study(
-                CONFIG, parallel=1, fault_plan=interrupt,
+                CONFIG, fault_plan=interrupt,
                 cache_dir=cache_dir, checkpoint_every=1,
             )
 
@@ -137,7 +137,7 @@ class TestInterruptAndResume:
             (FAIL_KEY, FaultSpec("raise", failures=3)),
         ))
         degraded = harness.run_study(
-            CONFIG, parallel=1, fault_plan=flaky,
+            CONFIG, fault_plan=flaky,
             policy=RetryPolicy(retries=1, backoff_s=0.0),
             cache_dir=cache_dir, resume=True,
         )
@@ -150,7 +150,7 @@ class TestInterruptAndResume:
         # (fresh fault plan: the fault is transient across runs too).
         calls_before = _count(registry, "simulate.calls")
         final = harness.run_study(
-            CONFIG, parallel=1,
+            CONFIG,
             policy=RetryPolicy(retries=3, backoff_s=0.0),
             cache_dir=cache_dir, resume=True,
         )
@@ -175,18 +175,18 @@ class TestInterruptAndResume:
         harness.clear_study_cache()
         try:
             degraded = harness.cached_study(
-                CONFIG, parallel=1, cache_dir=cache_dir,
+                CONFIG, cache_dir=cache_dir,
                 retry_policy=RetryPolicy(retries=1, backoff_s=0.0),
                 fault_plan=plan,
             )
             assert not degraded.complete and FAIL_KEY in degraded.failed
             # Without resume, the memo serves the degraded study as-is.
             assert harness.cached_study(
-                CONFIG, parallel=1, cache_dir=cache_dir
+                CONFIG, cache_dir=cache_dir
             ) is degraded
 
             resumed = harness.cached_study(
-                CONFIG, parallel=1, cache_dir=cache_dir, resume=True
+                CONFIG, cache_dir=cache_dir, resume=True
             )
             assert resumed is not degraded
             assert resumed.complete and not resumed.failed
@@ -199,7 +199,7 @@ class TestInterruptAndResume:
         self, registry, tmp_path
     ):
         study = harness.run_study(
-            CONFIG, parallel=1, cache_dir=str(tmp_path), resume=True
+            CONFIG, cache_dir=str(tmp_path), resume=True
         )
         assert study.complete
         assert _count(registry, "study.resumed_points") == 0
@@ -207,7 +207,7 @@ class TestInterruptAndResume:
 
     def test_complete_run_leaves_no_checkpoint(self, registry, tmp_path):
         cache_dir = str(tmp_path)
-        harness.run_study(CONFIG, parallel=1, cache_dir=cache_dir)
+        harness.run_study(CONFIG, cache_dir=cache_dir)
         assert serialization.load_study_checkpoint(CONFIG, cache_dir) is None
 
 

@@ -42,7 +42,7 @@ def sim(name="13pt", variant="bricks_codegen", plat=("A100", "CUDA"), **kw):
 
 @pytest.fixture(scope="module")
 def small_study():
-    return harness.run_study(SMALL_CONFIG, parallel=1)
+    return harness.run_study(SMALL_CONFIG)
 
 
 class TestRegistry:
@@ -201,7 +201,7 @@ class TestGolden:
 
     def test_checked_in_baseline_matches_tree(self):
         """The committed golden file is in sync with the current model."""
-        study = harness.run_study(parallel=1)
+        study = harness.run_study()
         violations, status = golden_mod.check_golden(study)
         assert status == "ok", [v.message for v in violations]
 
@@ -252,7 +252,7 @@ class TestPropertySweeps:
             domain=domain,
             platform_filter=(plat,),
         )
-        study = harness.run_study(config, parallel=1)
+        study = harness.run_study(config)
         study_checks = [
             inv for inv in inv_mod.registered("study")
         ]

@@ -95,7 +95,7 @@ class TestResumeMutation:
         real_run_study = experiments.run_study
 
         def buggy_cached_study(
-            config=None, parallel=None, cache_dir=None, *,
+            config=None, *, cache_dir=None,
             retry_policy=None, fault_plan=None, resume=False,
         ):
             from repro.harness import serialization
@@ -108,7 +108,7 @@ class TestResumeMutation:
                     study = serialization.load_study_cache(config, cache_dir)
                 if study is None:
                     study = real_run_study(
-                        config, parallel=parallel, policy=retry_policy,
+                        config, policy=retry_policy,
                         fault_plan=fault_plan, cache_dir=cache_dir,
                         resume=resume,
                     )
